@@ -1,39 +1,34 @@
-// E8: dependency task graph vs fork-join barriers — the A/B race for the
-// two migrated hot paths.
+// E8: batch certification scaling on the task-graph executor.
 //
-//   * Subset-lattice search: k=24 (12 in / 12 out) minimal-safe-set walk,
-//     whose middle levels dwarf the outer ones (the skewed-shard shape that
-//     starves a barrier), run with use_task_graph on vs off at the host's
-//     thread count.
-//   * Batch certification: a 16-request CertifyWorkflowBatch with ground
-//     truth over a random 8-module workflow — per-module memo chains, the
-//     tables build and the per-request enumerations either overlap (task
-//     graph) or run as three fork-join phases (barrier).
+// A 16-request CertifyWorkflowBatch with ground truth over a random
+// 4-module workflow — per-module memo chains, the tables build and the
+// per-request enumerations overlap as one dependency graph — run at the
+// host's thread count against the same graph run inline at
+// num_threads = 1.
 //
-// Results are PV_CHECKed identical between the modes before any number is
-// printed. Timing is interleaved min-of-N so drift hits both variants
-// equally; on a single-core host both modes short-circuit to the same
-// sequential code and the ratios read ~1.0. run_benches.sh records the two
-// summary keys as `taskgraph_search_speedup_x` / `taskgraph_batch_speedup_x`:
+// Results are PV_CHECKed field-identical between the two runs before any
+// number is printed. Timing is interleaved min-of-N so drift hits both
+// variants equally; on a single-core host both resolve to the same inline
+// run and the ratio reads ~1.0. run_benches.sh records the summary key as
+// `taskgraph_batch_scaling_x`:
 //
-//   E8 taskgraph search: k=24 on_ms=4100.2 off_ms=4800.9 taskgraph_search_speedup=1.17
-//   E8 taskgraph batch: requests=16 on_ms=90.1 off_ms=120.7 taskgraph_batch_speedup=1.34
+//   E8 taskgraph batch: requests=16 modules=4 threads=4 host_ms=90.1
+//       inline_ms=120.7 taskgraph_batch_scaling=1.34
 //
-// PODS_BENCH_SHORT=1 shrinks k and the round count for CI smoke runs.
+// PODS_BENCH_SHORT=1 shrinks the repetition and round counts for CI smoke
+// runs.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <limits>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/engine_config.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "generators/random_workflow.h"
-#include "module/module_library.h"
-#include "privacy/safe_subset_search.h"
 #include "privacy/workflow_privacy.h"
 
 namespace provview {
@@ -41,11 +36,11 @@ namespace {
 
 bool ShortMode() { return std::getenv("PODS_BENCH_SHORT") != nullptr; }
 
-// On a single-core host both variants short-circuit to the same
-// single-threaded code, so any wall-clock difference is preemption by
-// neighboring processes — the process-CPU clock measures the actual work.
-// Multi-core hosts keep wall time: there the race measures parallel
-// overlap, which CPU time would hide.
+// On a single-core host both variants run the same inline code, so any
+// wall-clock difference is preemption by neighboring processes — the
+// process-CPU clock measures the actual work. Multi-core hosts keep wall
+// time: there the race measures parallel overlap, which CPU time would
+// hide.
 double RaceClockMs() {
   timespec ts;
   if (std::thread::hardware_concurrency() > 1) {
@@ -63,68 +58,7 @@ double TimeMs(Fn&& fn) {
   return RaceClockMs() - t0;
 }
 
-void SearchRace() {
-  const int half = ShortMode() ? 10 : 12;
-  auto catalog = std::make_shared<AttributeCatalog>();
-  std::vector<AttrId> in, out;
-  for (int i = 0; i < half; ++i) {
-    in.push_back(catalog->Add("i" + std::to_string(i)));
-  }
-  for (int o = 0; o < half; ++o) {
-    out.push_back(catalog->Add("o" + std::to_string(o)));
-  }
-  Rng rng(3);
-  ModulePtr m = MakeRandomFunction("wide", catalog, in, out, &rng);
-  const int64_t gamma = 4;
-
-  SubsetSearchOptions on, off;
-  on.num_threads = 0;  // host thread count
-  on.use_task_graph = true;
-  off.num_threads = 0;
-  off.use_task_graph = false;
-
-  std::vector<Bitset64> a, b;
-  SafeSearchStats on_stats, off_stats;
-  // Untimed warmup: first touch of the module's relation, the allocator and
-  // the page cache must not be billed to whichever variant runs first.
-  {
-    SafeSearchStats s;
-    a = MinimalSafeHiddenSets(*m, gamma, &s, Module::kDefaultMaterializeRows,
-                              on);
-  }
-  double on_ms = std::numeric_limits<double>::infinity();
-  double off_ms = std::numeric_limits<double>::infinity();
-  const int rounds = ShortMode() ? 2 : 3;
-  for (int round = 0; round < rounds; ++round) {
-    on_ms = std::min(on_ms, TimeMs([&] {
-                       SafeSearchStats s;
-                       a = MinimalSafeHiddenSets(
-                           *m, gamma, &s, Module::kDefaultMaterializeRows,
-                           on);
-                       on_stats = s;
-                     }));
-    off_ms = std::min(off_ms, TimeMs([&] {
-                        SafeSearchStats s;
-                        b = MinimalSafeHiddenSets(
-                            *m, gamma, &s, Module::kDefaultMaterializeRows,
-                            off);
-                        off_stats = s;
-                      }));
-  }
-  PV_CHECK_MSG(a == b,
-               "task-graph search diverged from the barrier search");
-  PV_CHECK_MSG(on_stats.subsets_examined == off_stats.subsets_examined,
-               "task-graph search examined a different lattice");
-  PV_CHECK_MSG(on_stats.checker_calls + on_stats.cache_hits ==
-                   off_stats.checker_calls + off_stats.cache_hits,
-               "task-graph search lost memo-visible lookups");
-  std::printf(
-      "E8 taskgraph search: k=%d minimal_sets=%zu on_ms=%.1f off_ms=%.1f "
-      "taskgraph_search_speedup=%.2f\n",
-      2 * half, a.size(), on_ms, off_ms, off_ms / std::max(on_ms, 1e-6));
-}
-
-void BatchRace() {
+void BatchScaling() {
   // Small enough for the ground-truth possible-worlds enumeration (the
   // candidate space is exponential in free-module slots), big enough that
   // the per-module memo chains and the 16 enumerations carry real work.
@@ -150,67 +84,64 @@ void BatchRace() {
     requests.push_back(std::move(req));
   }
 
-  WorkflowBatchOptions on, off;
-  on.num_threads = 0;
-  on.use_task_graph = true;
-  on.with_ground_truth = true;
-  off = on;
-  off.use_task_graph = false;
+  WorkflowBatchOptions host, one;
+  host.num_threads = 0;  // host thread count
+  host.with_ground_truth = true;
+  one = host;
+  one.num_threads = 1;
 
-  WorkflowBatchResult ron, roff;
+  WorkflowBatchResult rhost, rone;
   // One batch is sub-millisecond on this workload; time `reps` back-to-back
   // batches per round so the measured window dwarfs timer jitter. Warmup
   // first so neither variant pays the first-touch costs.
   const int reps = ShortMode() ? 50 : 1000;
-  ron = CertifyWorkflowBatch(workflow, requests, on);
-  double on_ms = std::numeric_limits<double>::infinity();
-  double off_ms = std::numeric_limits<double>::infinity();
+  rhost = CertifyWorkflowBatch(workflow, requests, host);
+  double host_ms = std::numeric_limits<double>::infinity();
+  double inline_ms = std::numeric_limits<double>::infinity();
   const int rounds = ShortMode() ? 2 : 6;
   for (int round = 0; round < rounds; ++round) {
-    on_ms = std::min(on_ms, TimeMs([&] {
-                       for (int i = 0; i < reps; ++i) {
-                         ron = CertifyWorkflowBatch(workflow, requests, on);
-                       }
-                     }));
-    off_ms = std::min(off_ms, TimeMs([&] {
-                        for (int i = 0; i < reps; ++i) {
-                          roff =
-                              CertifyWorkflowBatch(workflow, requests, off);
-                        }
-                      }));
+    host_ms = std::min(host_ms, TimeMs([&] {
+                         for (int i = 0; i < reps; ++i) {
+                           rhost = CertifyWorkflowBatch(workflow, requests,
+                                                        host);
+                         }
+                       }));
+    inline_ms = std::min(inline_ms, TimeMs([&] {
+                           for (int i = 0; i < reps; ++i) {
+                             rone = CertifyWorkflowBatch(workflow, requests,
+                                                         one);
+                           }
+                         }));
   }
-  PV_CHECK_MSG(ron.status.ok() && roff.status.ok(),
+  PV_CHECK_MSG(rhost.status.ok() && rone.status.ok(),
                "batch certification failed mid-bench");
-  PV_CHECK_MSG(ron.entries.size() == roff.entries.size(),
+  PV_CHECK_MSG(rhost.entries.size() == rone.entries.size(),
                "batch entry counts diverged");
-  for (size_t r = 0; r < ron.entries.size(); ++r) {
-    const WorkflowBatchEntry& x = ron.entries[r];
-    const WorkflowBatchEntry& y = roff.entries[r];
+  for (size_t r = 0; r < rhost.entries.size(); ++r) {
+    const WorkflowBatchEntry& x = rhost.entries[r];
+    const WorkflowBatchEntry& y = rone.entries[r];
     PV_CHECK_MSG(
         x.certificate.certified == y.certificate.certified &&
             x.certificate.module_gammas == y.certificate.module_gammas &&
             x.certificate.required_privatizations ==
                 y.certificate.required_privatizations &&
             x.ground_truth_private == y.ground_truth_private,
-        "task-graph batch verdicts diverged from the barrier driver");
+        "parallel batch verdicts diverged from the inline run");
   }
-  PV_CHECK_MSG(ron.stats.checker_calls == roff.stats.checker_calls &&
-                   ron.stats.cache_hits == roff.stats.cache_hits,
-               "task-graph batch memo stats diverged");
+  PV_CHECK_MSG(rhost.stats.checker_calls == rone.stats.checker_calls &&
+                   rhost.stats.cache_hits == rone.stats.cache_hits,
+               "parallel batch memo stats diverged from the inline run");
   std::printf(
-      "E8 taskgraph batch: requests=%d modules=%d on_ms=%.1f off_ms=%.1f "
-      "taskgraph_batch_speedup=%.2f\n",
-      kRequests, workflow.num_modules(), on_ms, off_ms,
-      off_ms / std::max(on_ms, 1e-6));
-}
-
-int Run() {
-  SearchRace();
-  BatchRace();
-  return 0;
+      "E8 taskgraph batch: requests=%d modules=%d threads=%d host_ms=%.1f "
+      "inline_ms=%.1f taskgraph_batch_scaling=%.2f\n",
+      kRequests, workflow.num_modules(), ResolveThreads(0), host_ms,
+      inline_ms, inline_ms / std::max(host_ms, 1e-6));
 }
 
 }  // namespace
 }  // namespace provview
 
-int main() { return provview::Run(); }
+int main() {
+  provview::BatchScaling();
+  return 0;
+}

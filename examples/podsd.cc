@@ -1,8 +1,7 @@
 // podsd — the certification daemon, as a standalone binary.
 //
-//   podsd [--port=N] [--engine-threads=N] [--no-task-graph]
-//         [--cache-bytes=N] [--reactor-threads=N] [--no-reactor]
-//         [--memory-budget=N] [--max-pending=N]
+//   podsd [--port=N] [--engine-threads=N] [--cache-bytes=N]
+//         [--reactor-threads=N] [--memory-budget=N] [--max-pending=N]
 //
 // Binds 127.0.0.1 (port 0 = kernel-assigned, printed on stdout), serves the
 // built-in workflow registry, and runs until SIGINT/SIGTERM. Pair with
@@ -16,10 +15,11 @@
 // --cache-bytes=N caps the shared verdict cache (measured bytes across all
 // registered workflows; eviction only forgets verdicts). 0 = unbounded.
 // --reactor-threads=N sizes the epoll front-end (default 2; thread count
-// stays bounded no matter how many clients connect); --no-reactor selects
-// the legacy thread-per-connection front-end. --max-pending=N and
+// stays bounded no matter how many clients connect). --max-pending=N and
 // --memory-budget=N size the request-level admission gate (depth units and
-// shared engine bytes; 0 bytes = unbounded).
+// shared engine bytes; 0 bytes = unbounded). Every value must be a plain
+// decimal integer in range; anything else exits 2.
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -29,67 +29,70 @@
 #include "server/daemon.h"
 #include "server/registry.h"
 
+namespace {
+
+// Parses `text` as a whole decimal integer in [lo, hi]. Empty values, signs,
+// trailing garbage ("abc", "1e9", "12x") and out-of-range values fail.
+bool ParseFlagValue(const char* text, long long lo, long long hi,
+                    long long* out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  uint16_t port = 0;
   provview::PodsDaemon::Options options;
+  long long port = 0;
+  long long engine_threads = options.engine_threads;
   long long cache_bytes = 0;  // 0 = unbounded
+  long long reactor_threads = options.reactor_threads;
+  long long memory_budget = options.memory_budget;
+  long long max_pending = options.max_pending;
+  struct NumericFlag {
+    const char* name;  // including the trailing '='
+    long long lo, hi;
+    long long* value;
+  };
+  const long long kMaxBytes = 1LL << 62;
+  const NumericFlag flags[] = {
+      {"--port=", 0, 65535, &port},
+      {"--engine-threads=", 0, 1024, &engine_threads},
+      {"--cache-bytes=", 0, kMaxBytes, &cache_bytes},
+      {"--reactor-threads=", 1, 1024, &reactor_threads},
+      {"--memory-budget=", 0, kMaxBytes, &memory_budget},
+      {"--max-pending=", 0, kMaxBytes, &max_pending},
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--port=", 7) == 0) {
-      const long v = std::strtol(arg + 7, nullptr, 10);
-      if (v < 0 || v > 65535) {
-        std::fprintf(stderr, "podsd: bad port '%s'\n", arg + 7);
-        return 2;
-      }
-      port = static_cast<uint16_t>(v);
-    } else if (std::strncmp(arg, "--engine-threads=", 17) == 0) {
-      const long v = std::strtol(arg + 17, nullptr, 10);
-      if (v < 0 || v > 1024) {
-        std::fprintf(stderr, "podsd: bad engine thread count '%s'\n",
-                     arg + 17);
-        return 2;
-      }
-      options.engine_threads = static_cast<int>(v);
-    } else if (std::strcmp(arg, "--no-task-graph") == 0) {
-      options.use_task_graph = false;
-    } else if (std::strncmp(arg, "--cache-bytes=", 14) == 0) {
-      cache_bytes = std::strtoll(arg + 14, nullptr, 10);
-      if (cache_bytes < 0) {
-        std::fprintf(stderr, "podsd: bad cache byte budget '%s'\n",
-                     arg + 14);
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--reactor-threads=", 18) == 0) {
-      const long v = std::strtol(arg + 18, nullptr, 10);
-      if (v < 1 || v > 1024) {
-        std::fprintf(stderr, "podsd: bad reactor thread count '%s'\n",
-                     arg + 18);
-        return 2;
-      }
-      options.reactor_threads = static_cast<int>(v);
-    } else if (std::strcmp(arg, "--no-reactor") == 0) {
-      options.use_reactor = false;
-    } else if (std::strncmp(arg, "--memory-budget=", 16) == 0) {
-      options.memory_budget = std::strtoll(arg + 16, nullptr, 10);
-      if (options.memory_budget < 0) {
-        std::fprintf(stderr, "podsd: bad memory budget '%s'\n", arg + 16);
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--max-pending=", 14) == 0) {
-      options.max_pending = std::strtoll(arg + 14, nullptr, 10);
-      if (options.max_pending < 0) {
-        std::fprintf(stderr, "podsd: bad admission depth '%s'\n", arg + 14);
-        return 2;
-      }
-    } else {
+    const NumericFlag* flag = nullptr;
+    for (const NumericFlag& f : flags) {
+      if (std::strncmp(arg, f.name, std::strlen(f.name)) == 0) flag = &f;
+    }
+    if (flag == nullptr) {
       std::fprintf(stderr,
                    "usage: podsd [--port=N] [--engine-threads=N] "
-                   "[--no-task-graph] [--cache-bytes=N] "
-                   "[--reactor-threads=N] [--no-reactor] "
+                   "[--cache-bytes=N] [--reactor-threads=N] "
                    "[--memory-budget=N] [--max-pending=N]\n");
       return 2;
     }
+    const char* text = arg + std::strlen(flag->name);
+    if (!ParseFlagValue(text, flag->lo, flag->hi, flag->value)) {
+      std::fprintf(stderr, "podsd: bad value '%s' for %.*s (want %lld..%lld)\n",
+                   text, static_cast<int>(std::strlen(flag->name)) - 1,
+                   flag->name, flag->lo, flag->hi);
+      return 2;
+    }
   }
+  options.engine_threads = static_cast<int>(engine_threads);
+  options.reactor_threads = static_cast<int>(reactor_threads);
+  options.memory_budget = memory_budget;
+  options.max_pending = max_pending;
 
   // Block the termination signals BEFORE starting threads so every thread
   // inherits the mask and sigwait below is the only consumer.
@@ -105,7 +108,8 @@ int main(int argc, char** argv) {
   registry.RegisterBuiltins();
 
   provview::PodsDaemon daemon(&registry, options);
-  const provview::Status started = daemon.Start(port);
+  const provview::Status started =
+      daemon.Start(static_cast<uint16_t>(port));
   if (!started.ok()) {
     std::fprintf(stderr, "podsd: %s\n", started.message().c_str());
     return 1;

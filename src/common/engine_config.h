@@ -1,34 +1,37 @@
-// Shared execution knobs of the privacy engines. Every engine used to
-// re-declare its own num_threads / use_task_graph / materialize_threshold
-// triplet, which drifted (different defaults, different doc comments) and
-// made it impossible to thread one configuration through a pipeline of
-// engine calls. EngineConfig is the single definition; the per-engine
-// option structs (WorkflowTablesOptions, SubsetSearchOptions,
+// Shared execution knobs of the privacy engines. EngineConfig is the single
+// definition of num_threads / materialize_threshold / executor / control;
+// the per-engine option structs (WorkflowTablesOptions, SubsetSearchOptions,
 // WorkflowEnumerationOptions, WorkflowBatchOptions) embed it as a base, so
-// the historical field names (`opts.num_threads`, ...) keep working as
-// aliases for one release while call sites migrate.
+// one configuration threads through a pipeline of engine calls.
 #ifndef PROVVIEW_COMMON_ENGINE_CONFIG_H_
 #define PROVVIEW_COMMON_ENGINE_CONFIG_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <thread>
 
 namespace provview {
 
 class ExecControl;
 class TaskGraphExecutor;
 
+/// Resolves an options-style thread count: 0 means auto (hardware
+/// concurrency, at least 1), anything else is clamped to >= 1. The single
+/// policy shared by every `num_threads` knob in the library.
+inline int ResolveThreads(int requested) {
+  if (requested == 0) {
+    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  }
+  return std::max(1, requested);
+}
+
 /// Execution knobs common to every privacy engine. Engines read the subset
 /// that applies to them and document any engine-specific interpretation in
 /// their derived options struct.
 struct EngineConfig {
-  /// Worker threads. 0 = hardware concurrency, 1 = fully sequential.
+  /// Runners (see ResolveThreads). 0 = hardware concurrency, 1 = fully
+  /// sequential: the engine's task graph runs inline on the calling thread.
   int num_threads = 1;
-
-  /// Run sharded work on the dependency-aware task-graph executor
-  /// (default). Off = the historical fork-join path, kept for A/B
-  /// equivalence and bench races. Engines without a task-graph mode yet
-  /// (world enumeration) accept but ignore the flag.
-  bool use_task_graph = true;
 
   /// Module domains of at most this many rows use the materialized
   /// relation fast path; larger domains stream rows from the module's

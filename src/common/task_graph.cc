@@ -275,4 +275,12 @@ void TaskGraphExecutor::WorkerLoop(int self) {
   }
 }
 
+TaskGraphExecutor* ExecutorFor(int threads, TaskGraphExecutor* shared,
+                               std::unique_ptr<TaskGraphExecutor>* owned) {
+  if (threads <= 1) return nullptr;
+  if (shared != nullptr) return shared;
+  *owned = std::make_unique<TaskGraphExecutor>(threads - 1);
+  return owned->get();
+}
+
 }  // namespace provview

@@ -1,9 +1,10 @@
-// Dependency-aware task executor replacing the fork-join barriers of
-// thread_pool.h on the engine hot paths. A TaskGraph is a one-shot DAG of
-// void() tasks with explicit predecessor edges; a TaskGraphExecutor is a
-// long-lived set of workers with per-worker deques and steal-on-empty, in
-// the spirit of concurrencpp's thread-pool executor but with dependency
-// counting instead of coroutines. The properties the engines rely on:
+// Dependency-aware task executor: the library's one scheduler for every
+// parallel engine path and for podsd dispatch. A TaskGraph is a one-shot
+// DAG of void() tasks with explicit predecessor edges; a TaskGraphExecutor
+// is a long-lived set of workers with per-worker deques and
+// steal-on-empty, in the spirit of concurrencpp's thread-pool executor but
+// with dependency counting instead of coroutines. The properties the
+// engines rely on:
 //
 //   * A task runs only after every predecessor finished; completion of the
 //     last predecessor releases the successor onto the completing worker's
@@ -186,6 +187,13 @@ class TaskGraphExecutor {
   const int64_t max_pending_;
   std::atomic<int64_t> admitted_{0};
 };
+
+/// The executor an engine call with `threads` resolved runners hands to
+/// TaskGraph::Run: nullptr (RunInline) for one runner, else `shared` when
+/// the caller supplied one, else a private executor of threads-1 workers —
+/// the helping caller is the last runner — parked in `*owned`.
+TaskGraphExecutor* ExecutorFor(int threads, TaskGraphExecutor* shared,
+                               std::unique_ptr<TaskGraphExecutor>* owned);
 
 /// RAII for the admission gate: admitted units are released on every exit
 /// path of a request handler.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <unordered_set>
@@ -10,7 +12,6 @@
 #include "common/combinatorics.h"
 #include "common/interner.h"
 #include "common/task_graph.h"
-#include "common/thread_pool.h"
 #include "privacy/feasible_sets.h"
 #include "workflow/execution_supplier.h"
 
@@ -19,6 +20,38 @@ namespace provview {
 namespace {
 
 constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+using ShardFn = std::function<void(int shard, int64_t begin, int64_t end)>;
+
+// Adds one task fn(shard, begin, end) per non-empty range of [0, total)
+// cut into `shards` contiguous ceil-divided ranges, each after `deps`.
+void AddShardTasks(TaskGraph* graph, int64_t total, int shards,
+                   const std::vector<TaskGraph::TaskId>& deps,
+                   const ShardFn& fn) {
+  const int64_t chunk = (total + shards - 1) / shards;
+  for (int s = 0; s < shards; ++s) {
+    const int64_t begin = static_cast<int64_t>(s) * chunk;
+    if (begin >= total) break;  // ceil division can leave trailing shards empty
+    const int64_t end = std::min(total, begin + chunk);
+    graph->Add([fn, s, begin, end] { fn(s, begin, end); }, deps);
+  }
+}
+
+// Runs the shard tasks of [0, total) on `shared` or on a private executor
+// whose shards-1 workers plus the helping caller make `shards` runners; a
+// single shard runs inline. Callers merge shard partials by commutative
+// sums and unions, so the schedule never shows in the result.
+void RunShards(int64_t total, int shards, TaskGraphExecutor* shared,
+               const ShardFn& fn) {
+  if (shards <= 1) {
+    fn(0, 0, total);
+    return;
+  }
+  TaskGraph graph;
+  AddShardTasks(&graph, total, shards, {}, fn);
+  std::unique_ptr<TaskGraphExecutor> owned;
+  (void)graph.Run(ExecutorFor(shards, shared, &owned));
+}
 
 // Positions (within `attrs`) of the attributes visible under `visible`.
 std::vector<int> VisiblePositions(const std::vector<AttrId>& attrs,
@@ -336,23 +369,18 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
 
   // Shard the walk over slot 0's feasible codes.
   const int64_t slot0 = static_cast<int64_t>(inst.codes[0].size());
-  int threads = ThreadPool::Resolve(opts.num_threads);
+  int threads = ResolveThreads(opts.num_threads);
   if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
   const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
 
   SeenUnion seen_union(inst, opts.gamma);
   std::atomic<bool> stop(false);
   std::vector<ShardResult> partials(static_cast<size_t>(shards));
-  if (shards <= 1) {
-    WalkShard(inst, 0, slot0, &seen_union, &stop, control, &partials[0]);
-  } else {
-    ThreadPool pool(shards);
-    pool.ShardedFor(slot0, shards,
-                    [&](int shard, int64_t begin, int64_t end) {
-                      WalkShard(inst, begin, end, &seen_union, &stop, control,
-                                &partials[static_cast<size_t>(shard)]);
-                    });
-  }
+  RunShards(slot0, shards, /*shared=*/nullptr,
+            [&](int shard, int64_t begin, int64_t end) {
+              WalkShard(inst, begin, end, &seen_union, &stop, control,
+                        &partials[static_cast<size_t>(shard)]);
+            });
   for (const ShardResult& p : partials) result.num_worlds += p.num_worlds;
   result.early_stopped = stop.load();
   if (control != nullptr) result.status = control->Check();
@@ -641,7 +669,7 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   }
 
   const int64_t chunk = std::max<int64_t>(1, opts.chunk_executions);
-  int threads = ThreadPool::Resolve(opts.num_threads);
+  const int threads = ResolveThreads(opts.num_threads);
   const int shards = static_cast<int>(
       std::min<int64_t>(threads, std::max<int64_t>(1, execs / chunk)));
   std::vector<std::vector<std::set<int32_t>>> shard_codes(
@@ -678,50 +706,24 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
       }
     }
   };
-  if (!opts.use_task_graph || threads <= 1) {
-    // Barrier mode: sweep every module, decode every output table, then
-    // scan — three strictly ordered phases.
-    for (int i = 0; i < n; ++i) {
-      fill_fn(i);
-      fill_out_values(i);
-    }
-    if (shards <= 1) {
-      scan(0, 0, execs);
-    } else {
-      ThreadPool pool(shards);
-      pool.ShardedFor(execs, shards, scan);
-    }
-  } else {
-    // Task-graph mode: per-module sweeps run as independent tasks, the
-    // scan shards depend only on the sweeps (which the streamed supplier
-    // reads), and the output-decode tables overlap the scan. Tables are
-    // identical to the barrier mode's — only the schedule changes.
-    TaskGraph graph;
-    std::vector<TaskGraph::TaskId> fn_tasks;
-    fn_tasks.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const TaskGraph::TaskId fi = graph.Add([&fill_fn, i] { fill_fn(i); });
-      fn_tasks.push_back(fi);
-      graph.Add([&fill_out_values, i] { fill_out_values(i); }, {fi});
-    }
-    const int64_t shard_chunk = (execs + shards - 1) / shards;
-    for (int s = 0; s < shards; ++s) {
-      const int64_t begin = static_cast<int64_t>(s) * shard_chunk;
-      const int64_t end = std::min<int64_t>(execs, begin + shard_chunk);
-      if (begin >= end) break;
-      graph.Add([&scan, s, begin, end] { scan(s, begin, end); }, fn_tasks);
-    }
-    std::unique_ptr<TaskGraphExecutor> local_executor;
-    TaskGraphExecutor* executor = opts.executor;
-    if (executor == nullptr) {
-      // threads-1 workers: the calling thread helps, so `threads` run.
-      local_executor = std::make_unique<TaskGraphExecutor>(threads - 1);
-      executor = local_executor.get();
-    }
-    Status run = graph.Run(executor, control);
-    if (control == nullptr) {
-      PV_CHECK_MSG(run.ok(), "table build failed: " << run.message());
-    }
+  // Per-module sweeps run as independent tasks, the scan shards depend only
+  // on the sweeps (which the streamed supplier reads), and the
+  // output-decode tables overlap the scan. At one thread the same graph
+  // runs inline.
+  TaskGraph graph;
+  std::vector<TaskGraph::TaskId> fn_tasks;
+  fn_tasks.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const TaskGraph::TaskId fi = graph.Add([&fill_fn, i] { fill_fn(i); });
+    fn_tasks.push_back(fi);
+    graph.Add([&fill_out_values, i] { fill_out_values(i); }, {fi});
+  }
+  AddShardTasks(&graph, execs, shards, fn_tasks, scan);
+  std::unique_ptr<TaskGraphExecutor> owned;
+  Status run =
+      graph.Run(ExecutorFor(threads, opts.executor, &owned), control);
+  if (control == nullptr) {
+    PV_CHECK_MSG(run.ok(), "table build failed: " << run.message());
   }
   if (control != nullptr) {
     t->status = control->Check();
@@ -1439,7 +1441,7 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   }
   if (result.pruned_candidates == 0) return result;  // some slot infeasible
 
-  // Sharding splits slot 0's candidate list across the pool, but the
+  // Sharding splits slot 0's candidate list across tasks, but the
   // feasible-set pass can leave slot 0 a singleton (forced, or a factored
   // unreachable point) — which would silently serialize the whole walk.
   // Swap the first multi-candidate slot into position 0 (before tracked
@@ -1505,7 +1507,7 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
       inst.slots.empty()
           ? 1
           : static_cast<int64_t>(inst.slots[0].codes->size());
-  int threads = ThreadPool::Resolve(opts.num_threads);
+  int threads = ResolveThreads(opts.num_threads);
   if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
   const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
 
@@ -1525,17 +1527,11 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     result.status = control->Check();
     return result;
   }
-  if (shards <= 1) {
-    WfWalkShard(inst, 0, slot0, &seen_union, &stop, control, &partials[0]);
-  } else {
-    ThreadPool pool(shards);
-    pool.ShardedFor(slot0, shards,
-                    [&](int shard, int64_t begin, int64_t end) {
-                      WfWalkShard(inst, begin, end, &seen_union, &stop,
-                                  control,
-                                  &partials[static_cast<size_t>(shard)]);
-                    });
-  }
+  RunShards(slot0, shards, opts.executor,
+            [&](int shard, int64_t begin, int64_t end) {
+              WfWalkShard(inst, begin, end, &seen_union, &stop, control,
+                          &partials[static_cast<size_t>(shard)]);
+            });
   if (control != nullptr) {
     control->Release(walk_bytes);
     result.status = control->Check();

@@ -75,17 +75,15 @@ struct WorkflowCertificationRequest {
 /// Knobs of the batch certification driver. The shared execution knobs
 /// come from the embedded EngineConfig: num_threads defaults to 0 here
 /// (hardware concurrency — certification parallelizes over private
-/// modules, ground truth over requests); use_task_graph (default) runs the
-/// batch as a dependency graph — per-module request chains, per-request
-/// verdict tasks, and with ground truth a tables task feeding per-request
-/// enumerations with no phase barrier — while off keeps the historical
-/// two-phase fork-join driver, field-identical results either way
-/// (resolved num_threads <= 1 always takes the historical sequential
-/// path); `executor` shares the daemon's work-stealing pool; `control` is
-/// polled between requests and at engine chunk boundaries, a trip
-/// surfacing as WorkflowBatchResult::status — partial stats, no certified
-/// verdicts. When control is null, guards keep the historical
-/// PV_CHECK-abort behavior.
+/// modules, ground truth over requests). The batch runs as one dependency
+/// graph — per-module request chains, per-request verdict tasks, and with
+/// ground truth a tables task feeding per-request enumerations with no
+/// phase barrier — inline at one resolved thread, on `executor` (e.g. the
+/// daemon's shared one) or a private executor above it, with
+/// field-identical results at any thread count. `control` is polled
+/// between requests and at engine chunk boundaries, a trip surfacing as
+/// WorkflowBatchResult::status — partial stats, no certified verdicts.
+/// When control is null, guards keep the PV_CHECK-abort behavior.
 struct WorkflowBatchOptions : EngineConfig {
   WorkflowBatchOptions() { num_threads = 0; }
 
@@ -157,8 +155,8 @@ class WorkflowCacheNamespace {
 /// every module relation and re-runs Algorithm 2 from scratch each time —
 /// the batch driver materializes each private module's relation once,
 /// shares a per-module SafetyMemo across all requests, fans the per-module
-/// work out onto a thread pool, and (optionally) reuses one set of
-/// possible-worlds tables for every ground-truth enumeration.
+/// work out onto the task-graph executor, and (optionally) reuses one set
+/// of possible-worlds tables for every ground-truth enumeration.
 WorkflowBatchResult CertifyWorkflowBatch(
     const Workflow& workflow,
     const std::vector<WorkflowCertificationRequest>& requests,

@@ -4,7 +4,8 @@
 #include <memory>
 #include <set>
 
-#include "common/thread_pool.h"
+#include "common/engine_config.h"
+#include "common/task_graph.h"
 #include "privacy/safe_subset_search.h"
 #include "privacy/workflow_privacy.h"
 
@@ -43,10 +44,10 @@ SecureViewInstance InstanceFromWorkflow(
     inst.attr_cost.push_back(catalog.Cost(id));
   }
   // Derive every private module's requirement list in parallel: one task
-  // per private module on a shared pool, each owning one SafetyMemo (its
-  // materialized relation plus verdict cache) for the whole derivation.
-  // Sequentially this shares nothing across modules and dominates instance
-  // construction on real workflows.
+  // per private module on the task-graph executor, each owning one
+  // SafetyMemo (its materialized relation plus verdict cache) for the whole
+  // derivation. Sequentially this shares nothing across modules and
+  // dominates instance construction on real workflows.
   const int n = workflow.num_modules();
   std::vector<std::vector<SetOption>> set_options(static_cast<size_t>(n));
   std::vector<std::vector<CardOption>> card_options(static_cast<size_t>(n));
@@ -97,17 +98,11 @@ SecureViewInstance InstanceFromWorkflow(
     }
   };
   const int threads = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(ThreadPool::DefaultThreads()),
-      private_modules.size()));
-  if (threads <= 1) {
-    for (int i : private_modules) derive(i);
-  } else {
-    ThreadPool pool(threads);
-    for (int i : private_modules) {
-      pool.Submit([&derive, i] { derive(i); });
-    }
-    pool.Wait();
-  }
+      static_cast<size_t>(ResolveThreads(0)), private_modules.size()));
+  TaskGraph graph;
+  for (int i : private_modules) graph.Add([&derive, i] { derive(i); });
+  std::unique_ptr<TaskGraphExecutor> owned;
+  (void)graph.Run(ExecutorFor(threads, /*shared=*/nullptr, &owned));
 
   for (int i = 0; i < n; ++i) {
     const Module& m = workflow.module(i);

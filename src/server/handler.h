@@ -1,11 +1,21 @@
-// The daemon's request core, shared by both connection front-ends: the
-// legacy blocking thread-per-connection loop (connection.h) and the epoll
-// reactor (reactor.h) parse frames their own way, then hand every
-// well-framed request here. One implementation means one blast-radius
-// table: malformed body / unknown type / unknown workflow / tripped
-// control / engine exception all become the same typed response bytes no
-// matter which front-end carried the frame — which is what lets the
-// reactor-vs-legacy A/B equivalence test compare responses byte for byte.
+// The daemon's request core: the epoll reactor (reactor.h) reassembles
+// frames, then hands every well-framed request here. One implementation
+// means one blast-radius table: malformed body / unknown type / unknown
+// workflow / tripped control / engine exception all become the same typed
+// response bytes whichever thread runs the request — an executor worker, a
+// reactor thread on a single-core host, or an in-process caller.
+//
+//   failure                          blast radius
+//   ------------------------------   -------------------------------------
+//   bad magic / version / body_len   error response, THIS connection closes
+//                                    (decided by the reactor's framing)
+//   unknown request type             error response, connection survives
+//   malformed request body           error response, connection survives
+//   unknown workflow name            NOT_FOUND response, connection survives
+//   deadline / memory budget trip    typed response, connection survives
+//   admission gate saturated         RESOURCE_EXHAUSTED, connection survives
+//   engine exception                 INTERNAL response, connection survives
+//   peer hangs up mid-frame          connection closes quietly
 #ifndef PROVVIEW_SERVER_HANDLER_H_
 #define PROVVIEW_SERVER_HANDLER_H_
 
@@ -27,15 +37,15 @@ struct RequestContext {
   WorkflowRegistry* registry = nullptr;
   DaemonStats* stats = nullptr;
   /// Shared engine executor; null = engines run inline on the calling
-  /// thread (single-core hosts / use_task_graph off).
+  /// thread (a single-core host, where the daemon creates no executor).
   TaskGraphExecutor* executor = nullptr;
   /// The request-level admission gate + shared memory pool (never null).
   AdmissionController* admission = nullptr;
-  /// Reported in STAT; 0 = legacy thread-per-connection mode.
+  /// Reported in STAT; the Reactor sets it to its own thread count.
   int reactor_threads = 0;
   /// True when the calling thread is free to help the executor run its own
-  /// graph (a dedicated connection thread). False when the caller IS an
-  /// executor worker (the reactor dispatch path) — it already counts.
+  /// graph (an in-process caller of HandleFrame). False when the caller IS
+  /// an executor worker (the reactor dispatch path) — it already counts.
   bool caller_helps = true;
 };
 

@@ -16,10 +16,11 @@
 // is the natural per-connection backpressure (the kernel socket buffer
 // absorbs pipelined requests until the reply goes out).
 //
-// The blast-radius table matches the legacy front-end exactly (both call
-// the same HandleFrame core): a framing error gets one error response and
-// closes that connection; every other failure is a typed response on a
-// surviving connection.
+// The blast-radius table lives in handler.h: a framing error gets one
+// error response and closes that connection; every other failure is a
+// typed response (from the shared HandleFrame core) on a surviving
+// connection. Without an executor (a single-core host) the reactor thread
+// runs HandleFrame inline.
 #ifndef PROVVIEW_SERVER_REACTOR_H_
 #define PROVVIEW_SERVER_REACTOR_H_
 

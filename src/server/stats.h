@@ -1,7 +1,7 @@
 // Daemon-wide counters behind the STAT request. All fields are relaxed
-// atomics bumped from connection threads; Snapshot() reads them without a
-// lock (each counter is individually consistent — STAT is monitoring, not
-// accounting, exactly like memcached's `stats`).
+// atomics bumped from reactor and executor threads; Snapshot() reads them
+// without a lock (each counter is individually consistent — STAT is
+// monitoring, not accounting, exactly like memcached's `stats`).
 #ifndef PROVVIEW_SERVER_STATS_H_
 #define PROVVIEW_SERVER_STATS_H_
 
@@ -65,8 +65,9 @@ class DaemonStats {
 
   /// Everything beyond the counters that the STAT snapshot reports: the
   /// shared verdict cache, the admission controller, the live registry
-  /// size, and the reactor thread count (0 = legacy thread-per-connection
-  /// mode). All optional — absent members skip their section.
+  /// size, and the reactor thread count (0 when the request did not come
+  /// through a Reactor, e.g. an in-process HandleFrame call). All optional
+  /// — absent members skip their section.
   struct StatContext {
     const VerdictCache* cache = nullptr;
     const AdmissionController* admission = nullptr;

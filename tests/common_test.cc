@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
+#include <thread>
 
+#include "common/engine_config.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -188,6 +191,20 @@ TEST(StopwatchTest, MeasuresNonNegativeTime) {
   EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds());
   sw.Restart();
   EXPECT_LT(sw.ElapsedSeconds(), 1.0);
+}
+
+TEST(ResolveThreadsTest, AutoResolvesToHardwareConcurrency) {
+  const int resolved = ResolveThreads(0);
+  EXPECT_GE(resolved, 1);
+  EXPECT_EQ(resolved,
+            std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
+}
+
+TEST(ResolveThreadsTest, ClampsToAtLeastOne) {
+  EXPECT_EQ(ResolveThreads(-1), 1);
+  EXPECT_EQ(ResolveThreads(-64), 1);
+  EXPECT_EQ(ResolveThreads(1), 1);
+  EXPECT_EQ(ResolveThreads(7), 7);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // (docs/optimizer.md): the exact solver dominates every approximation, its
 // bounds are real, brute force agrees on small instances, the Theorem 5/6/7
 // ratio guarantees hold, the parallel wave engine is byte-identical at any
-// thread count, and tripped solves (node budget, deadline) still carry a
-// feasible incumbent with a finite proven gap.
+// thread count, the E10 search effort stays at or under its golden pin,
+// and tripped solves (node budget, deadline) still carry a feasible
+// incumbent with a finite proven gap.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "lp/branch_and_bound.h"
 #include "secureview/bnb_oracle.h"
 #include "secureview/feasibility.h"
+#include "secureview/from_workflow.h"
 #include "secureview/ilp_encoding.h"
 #include "secureview/solvers.h"
 #include "secureview/workflow_exact.h"
@@ -41,7 +43,7 @@ SecureViewInstance RandomInstance(int seed, ConstraintKind kind,
 
 // ---------------------------------------------------------------------
 // The full pruning stack (warm start + oracle + scratch LP + best-bound)
-// still computes the exact optimum: it matches brute force, lower-bounds
+// computes the exact optimum: it matches brute force, lower-bounds
 // every approximation, and the paper's ratio guarantees hold against it.
 // ---------------------------------------------------------------------
 struct SweepCase {
@@ -132,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PublicStackTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------
 // Determinism: the wave engine's BnbResult is byte-identical at any
-// thread count, in both traversal orders, with the oracle installed.
+// thread count, with the oracle installed.
 // ---------------------------------------------------------------------
 void ExpectIdentical(const BnbResult& a, const BnbResult& b) {
   EXPECT_EQ(a.status.code(), b.status.code());
@@ -151,48 +153,89 @@ TEST(ParallelEquivalenceTest, ByteIdenticalAcrossThreadCounts) {
     SecureViewInstance inst =
         RandomInstance(seed + 100, ConstraintKind::kSet, 8);
     SvEncoding enc = EncodeSecureView(inst);
-    for (bool best_bound : {true, false}) {
-      BnbOptions base;
-      base.best_bound = best_bound;
-      base.wave_width = 4;  // several waves, several nodes per wave
-      base.oracle = MakeSecureViewBnbOracle(&inst, &enc);
-      BnbResult one, two, eight;
-      {
-        BnbOptions o = base;
-        o.num_threads = 1;
-        one = SolveIlp(enc.lp, enc.integer_vars, o);
-      }
-      {
-        BnbOptions o = base;
-        o.num_threads = 2;
-        two = SolveIlp(enc.lp, enc.integer_vars, o);
-      }
-      {
-        BnbOptions o = base;
-        o.num_threads = 8;
-        eight = SolveIlp(enc.lp, enc.integer_vars, o);
-      }
-      ASSERT_TRUE(one.status.ok());
-      ExpectIdentical(one, two);
-      ExpectIdentical(one, eight);
+    BnbOptions base;
+    base.wave_width = 4;  // several waves, several nodes per wave
+    base.oracle = MakeSecureViewBnbOracle(&inst, &enc);
+    BnbResult one, two, eight;
+    {
+      BnbOptions o = base;
+      o.num_threads = 1;
+      one = SolveIlp(enc.lp, enc.integer_vars, o);
     }
+    {
+      BnbOptions o = base;
+      o.num_threads = 2;
+      two = SolveIlp(enc.lp, enc.integer_vars, o);
+    }
+    {
+      BnbOptions o = base;
+      o.num_threads = 8;
+      eight = SolveIlp(enc.lp, enc.integer_vars, o);
+    }
+    ASSERT_TRUE(one.status.ok());
+    ExpectIdentical(one, two);
+    ExpectIdentical(one, eight);
   }
 }
 
-TEST(ScratchLpTest, MatchesLegacyRebuildPath) {
-  for (int seed = 0; seed < 4; ++seed) {
+// ---------------------------------------------------------------------
+// Golden pin on the E10 optimizer family (60-module, 4-layer DAGs, the
+// short-mode bench_optimizer shape): the exact cost and the search effort
+// recorded from the build that still carried the rebuild-LP / LIFO /
+// most-fractional engine next to this one. Host-independent, so it gates
+// the search tree where a timing race could not: the cost must match
+// exactly, and node and LP-solve counts may only shrink.
+// ---------------------------------------------------------------------
+struct E10Golden {
+  uint64_t seed;
+  double cost;
+  int64_t exact_nodes;  // SolveExact (warm start + oracle)
+  int raw_nodes;        // SolveIlp with the oracle, no warm start
+  int64_t raw_lp_solves;
+};
+
+TEST(E10GoldenPinTest, SearchEffortNeverGrowsAndCostIsExact) {
+  const E10Golden goldens[] = {
+      {0xe10, 149.62957980174835, 27, 27, 25},
+      {0xe10 + 142, 131.55360725558083, 63, 63, 47},
+      {0xe10 + 284, 118.75976174417831, 9, 9, 7},
+  };
+  for (const E10Golden& golden : goldens) {
+    Rng rng(golden.seed);
+    RandomWorkflowOptions wopt;
+    wopt.num_modules = 60;
+    wopt.num_layers = 4;
+    wopt.min_inputs = 2;
+    wopt.max_inputs = 3;
+    wopt.max_outputs = 2;
+    wopt.gamma_bound = 3;
+    wopt.reuse_probability = 0.8;
+    GeneratedWorkflow gen = MakeRandomWorkflow(wopt, &rng);
     SecureViewInstance inst =
-        RandomInstance(seed + 200, ConstraintKind::kCardinality, 7);
+        InstanceFromWorkflow(*gen.workflow, /*gamma=*/2, ConstraintKind::kSet);
     SvEncoding enc = EncodeSecureView(inst);
-    BnbOptions scratch;
-    scratch.use_scratch_lp = true;
-    BnbOptions rebuild;
-    rebuild.use_scratch_lp = false;
-    BnbResult a = SolveIlp(enc.lp, enc.integer_vars, scratch);
-    BnbResult b = SolveIlp(enc.lp, enc.integer_vars, rebuild);
-    ASSERT_TRUE(a.status.ok());
-    // Same traversal, same relaxations — only the LP storage differs.
-    ExpectIdentical(a, b);
+    for (int threads : {1, 2, 8}) {
+      ExactOptions exact_opt;
+      exact_opt.bnb.num_threads = threads;
+      SvResult exact = SolveExact(inst, exact_opt);
+      ASSERT_TRUE(exact.status.ok()) << "seed " << golden.seed;
+      EXPECT_EQ(exact.cost, golden.cost)
+          << "seed " << golden.seed << " threads " << threads;
+      EXPECT_LE(exact.work, golden.exact_nodes)
+          << "seed " << golden.seed << " threads " << threads;
+
+      BnbOptions raw;
+      raw.num_threads = threads;
+      raw.oracle = MakeSecureViewBnbOracle(&inst, &enc);
+      BnbResult r = SolveIlp(enc.lp, enc.integer_vars, raw);
+      ASSERT_TRUE(r.status.ok()) << "seed " << golden.seed;
+      EXPECT_EQ(r.objective, golden.cost)
+          << "seed " << golden.seed << " threads " << threads;
+      EXPECT_LE(r.nodes_explored, golden.raw_nodes)
+          << "seed " << golden.seed << " threads " << threads;
+      EXPECT_LE(r.lp_solves, golden.raw_lp_solves)
+          << "seed " << golden.seed << " threads " << threads;
+    }
   }
 }
 

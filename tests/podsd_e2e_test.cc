@@ -248,50 +248,52 @@ TEST(PodsdE2eTest, StopSeversIdleConnectionsCleanly) {
   daemon.reset();
 }
 
-TEST(PodsdE2eTest, TaskGraphDaemonMatchesBarrierDaemon) {
-  // Two daemons over the same builtin workflow, one with the shared
-  // task-graph executor forced on (engine_threads=2 so it exists even on a
-  // single-core host), one with it off: every certify response must be
-  // identical, and both must match the direct engine.
+TEST(PodsdE2eTest, ExecutorDaemonMatchesDirectEngine) {
+  // The daemon with its shared task-graph executor forced on
+  // (engine_threads=2 so it exists even on a single-core host) must answer
+  // every certify exactly as the direct one-thread engine does, one item
+  // per request and all items in one batch.
   Fig1Workflow fig1 = MakeFig1Workflow();
   const int attrs[] = {fig1.a3, fig1.a4, fig1.a5, fig1.a6, fig1.a7};
   const std::vector<CertifyEntry> expected = DirectVerdicts(fig1, attrs);
 
-  PodsDaemon::Options on_opts;
-  on_opts.use_task_graph = true;
-  on_opts.engine_threads = 2;
-  PodsDaemon::Options off_opts;
-  off_opts.use_task_graph = false;
+  PodsDaemon::Options opts;
+  opts.engine_threads = 2;
+  WorkflowRegistry registry;
+  registry.RegisterBuiltins();
+  PodsDaemon daemon(&registry, opts);
+  ASSERT_TRUE(daemon.Start().ok());
+  ASSERT_NE(daemon.executor(), nullptr);
 
-  WorkflowRegistry on_registry, off_registry;
-  on_registry.RegisterBuiltins();
-  off_registry.RegisterBuiltins();
-  PodsDaemon on_daemon(&on_registry, on_opts);
-  PodsDaemon off_daemon(&off_registry, off_opts);
-  ASSERT_TRUE(on_daemon.Start().ok());
-  ASSERT_TRUE(off_daemon.Start().ok());
-
-  PodsClient on_client, off_client;
-  ASSERT_TRUE(on_client.Connect(on_daemon.port()).ok());
-  ASSERT_TRUE(off_client.Connect(off_daemon.port()).ok());
+  PodsClient client;
+  ASSERT_TRUE(client.Connect(daemon.port()).ok());
+  CertifyRequest batch;
+  batch.workflow = "fig1";
   for (uint32_t mask = 0; mask < kNumMasks; ++mask) {
     CertifyRequest req;
     req.workflow = "fig1";
     req.items.push_back(ItemForMask(mask, attrs));
-    CertifyResponse on_resp, off_resp;
-    ASSERT_TRUE(on_client.Certify(req, /*batch=*/false, &on_resp).ok());
-    ASSERT_TRUE(off_client.Certify(req, /*batch=*/false, &off_resp).ok());
-    ASSERT_EQ(on_resp.entries.size(), 1u);
-    ASSERT_EQ(off_resp.entries.size(), 1u);
-    EXPECT_EQ(on_resp.entries[0].certified, expected[mask].certified);
-    EXPECT_EQ(off_resp.entries[0].certified, expected[mask].certified);
-    EXPECT_EQ(on_resp.entries[0].module_gammas, off_resp.entries[0].module_gammas);
-    EXPECT_EQ(on_resp.entries[0].required_privatizations,
-              off_resp.entries[0].required_privatizations);
+    batch.items.push_back(ItemForMask(mask, attrs));
+    CertifyResponse resp;
+    ASSERT_TRUE(client.Certify(req, /*batch=*/false, &resp).ok());
+    ASSERT_EQ(resp.entries.size(), 1u);
+    EXPECT_EQ(resp.entries[0].certified, expected[mask].certified);
+    EXPECT_EQ(resp.entries[0].module_gammas, expected[mask].module_gammas);
+    EXPECT_EQ(resp.entries[0].required_privatizations,
+              expected[mask].required_privatizations);
+  }
+  CertifyResponse batch_resp;
+  ASSERT_TRUE(client.Certify(batch, /*batch=*/true, &batch_resp).ok());
+  ASSERT_EQ(batch_resp.entries.size(), static_cast<size_t>(kNumMasks));
+  for (uint32_t mask = 0; mask < kNumMasks; ++mask) {
+    EXPECT_EQ(batch_resp.entries[mask].certified, expected[mask].certified);
+    EXPECT_EQ(batch_resp.entries[mask].module_gammas,
+              expected[mask].module_gammas);
+    EXPECT_EQ(batch_resp.entries[mask].required_privatizations,
+              expected[mask].required_privatizations);
   }
 
-  on_daemon.Stop();
-  off_daemon.Stop();
+  daemon.Stop();
 }
 
 TEST(PodsdE2eTest, AdmissionGateRejectsWhenFull) {
@@ -302,7 +304,6 @@ TEST(PodsdE2eTest, AdmissionGateRejectsWhenFull) {
   WorkflowRegistry registry;
   registry.RegisterBuiltins();
   PodsDaemon::Options opts;
-  opts.use_task_graph = true;
   opts.engine_threads = 2;
   opts.max_pending = 0;
   PodsDaemon daemon(&registry, opts);

@@ -1,6 +1,7 @@
-// Reactor front-end suite (the PR's acceptance bar): the epoll reactor must
-// produce byte-identical responses to the legacy thread-per-connection
-// front-end for the same request bytes, reassemble frames that arrive in
+// Reactor front-end suite: the daemon's reactor, a bare Reactor without an
+// executor (the single-core inline path) and a direct in-process
+// HandleFrame call must produce byte-identical responses for the same
+// request bytes; the reactor must reassemble frames that arrive in
 // arbitrary pieces, serve pipelined requests in order, hold 1000 idle
 // connections with a thread count bounded by --reactor-threads (NOT by
 // connection count), and surface request-level admission in STAT. Runs
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <memory>
@@ -20,7 +23,9 @@
 #include "secureview/serialization.h"
 #include "server/client.h"
 #include "server/daemon.h"
+#include "server/handler.h"
 #include "server/protocol.h"
+#include "server/reactor.h"
 #include "server/registry.h"
 #include "workflow/fig1_workflow.h"
 
@@ -51,25 +56,84 @@ CertifyItem ItemForMask(uint32_t mask, const int* attrs, int num_attrs) {
   return item;
 }
 
-TEST(PodsdReactorTest, ReactorMatchesLegacyByteForByte) {
-  // Same registry seeds, same request bytes, two front-ends: every response
-  // frame must be IDENTICAL down to the byte. Both paths share HandleFrame,
-  // so any divergence is a framing/dispatch bug in one of them.
-  PodsDaemon::Options reactor_opts;
-  reactor_opts.use_reactor = true;
-  reactor_opts.reactor_threads = 2;
-  reactor_opts.engine_threads = 2;
-  PodsDaemon::Options legacy_opts;
-  legacy_opts.use_reactor = false;
-  legacy_opts.engine_threads = 2;
+// Blocking helpers for the raw socketpair end handed to a bare Reactor.
+bool WriteAllFd(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t sent = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (sent <= 0) return false;
+    bytes.remove_prefix(static_cast<size_t>(sent));
+  }
+  return true;
+}
 
-  WorkflowRegistry reactor_registry, legacy_registry;
-  reactor_registry.RegisterBuiltins();
-  legacy_registry.RegisterBuiltins();
-  PodsDaemon reactor_daemon(&reactor_registry, reactor_opts);
-  PodsDaemon legacy_daemon(&legacy_registry, legacy_opts);
-  ASSERT_TRUE(reactor_daemon.Start().ok());
-  ASSERT_TRUE(legacy_daemon.Start().ok());
+bool ReadExactFd(int fd, std::string* out, size_t n) {
+  out->resize(n);
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t got = ::recv(fd, out->data() + done, n - done, 0);
+    if (got <= 0) return false;
+    done += static_cast<size_t>(got);
+  }
+  return true;
+}
+
+// One response frame split into its decoded header and its body.
+struct Reply {
+  FrameHeader header;
+  std::string body;
+};
+
+bool RecvReplyFd(int fd, Reply* reply) {
+  std::string head;
+  if (!ReadExactFd(fd, &head, kFrameHeaderSize)) return false;
+  if (!DecodeFrameHeader(head, &reply->header).ok()) return false;
+  return ReadExactFd(fd, &reply->body, reply->header.body_len);
+}
+
+// Splits a complete frame (as HandleFrame returns it or a client sends it).
+Reply SplitFrame(const std::string& frame) {
+  Reply reply;
+  EXPECT_TRUE(
+      DecodeFrameHeader(std::string_view(frame).substr(0, kFrameHeaderSize),
+                        &reply.header)
+          .ok());
+  reply.body = frame.substr(kFrameHeaderSize);
+  return reply;
+}
+
+TEST(PodsdReactorTest, DaemonInlineReactorAndHandleFrameAgreeByteForByte) {
+  // Same registry seeds, same request bytes, three carriers: the default
+  // daemon (reactor + shared executor when the host has more than one
+  // core), a bare Reactor whose context has NO executor (the single-core
+  // inline path, covered here on any host), and a direct in-process
+  // HandleFrame call. Every response frame must be IDENTICAL down to the
+  // byte: all three share HandleFrame, so any divergence is a framing or
+  // dispatch bug in a carrier.
+  WorkflowRegistry daemon_registry, inline_registry, direct_registry;
+  daemon_registry.RegisterBuiltins();
+  inline_registry.RegisterBuiltins();
+  direct_registry.RegisterBuiltins();
+  PodsDaemon daemon(&daemon_registry);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  DaemonStats inline_stats, direct_stats;
+  AdmissionController inline_admission(4096, 0), direct_admission(4096, 0);
+  RequestContext inline_ctx;
+  inline_ctx.registry = &inline_registry;
+  inline_ctx.stats = &inline_stats;
+  inline_ctx.admission = &inline_admission;
+  inline_ctx.executor = nullptr;
+  Reactor inline_reactor(inline_ctx, /*num_threads=*/1);
+  inline_reactor.Start();
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  inline_reactor.AddConnection(pair[0]);  // takes ownership
+  const int inline_fd = pair[1];
+
+  RequestContext direct_ctx;
+  direct_ctx.registry = &direct_registry;
+  direct_ctx.stats = &direct_stats;
+  direct_ctx.admission = &direct_admission;
 
   const Fig1Workflow fig1 = MakeFig1Workflow();
   const int attrs[] = {fig1.a3, fig1.a4, fig1.a5, fig1.a6, fig1.a7};
@@ -130,23 +194,31 @@ TEST(PodsdReactorTest, ReactorMatchesLegacyByteForByte) {
     corpus.push_back(BuildRequestFrame(MessageType::kCertify, 302, body));
   }
 
-  PodsClient reactor_client, legacy_client;
-  ASSERT_TRUE(reactor_client.Connect(reactor_daemon.port()).ok());
-  ASSERT_TRUE(legacy_client.Connect(legacy_daemon.port()).ok());
+  PodsClient daemon_client;
+  ASSERT_TRUE(daemon_client.Connect(daemon.port()).ok());
   for (size_t i = 0; i < corpus.size(); ++i) {
-    ASSERT_TRUE(reactor_client.SendRaw(corpus[i]).ok());
-    ASSERT_TRUE(legacy_client.SendRaw(corpus[i]).ok());
-    FrameHeader rh, lh;
-    std::string rbody, lbody;
-    ASSERT_TRUE(reactor_client.RecvResponse(&rh, &rbody).ok());
-    ASSERT_TRUE(legacy_client.RecvResponse(&lh, &lbody).ok());
-    EXPECT_EQ(rh.type, lh.type) << "corpus entry " << i;
-    EXPECT_EQ(rh.request_id, lh.request_id) << "corpus entry " << i;
-    EXPECT_EQ(rbody, lbody) << "corpus entry " << i;
+    Reply from_daemon, from_inline;
+    ASSERT_TRUE(daemon_client.SendRaw(corpus[i]).ok());
+    ASSERT_TRUE(
+        daemon_client.RecvResponse(&from_daemon.header, &from_daemon.body)
+            .ok());
+    ASSERT_TRUE(WriteAllFd(inline_fd, corpus[i]));
+    ASSERT_TRUE(RecvReplyFd(inline_fd, &from_inline)) << "corpus entry " << i;
+    const Reply request = SplitFrame(corpus[i]);
+    Reply from_direct =
+        SplitFrame(HandleFrame(direct_ctx, request.header, request.body));
+    for (const Reply* other : {&from_inline, &from_direct}) {
+      EXPECT_EQ(from_daemon.header.type, other->header.type)
+          << "corpus entry " << i;
+      EXPECT_EQ(from_daemon.header.request_id, other->header.request_id)
+          << "corpus entry " << i;
+      EXPECT_EQ(from_daemon.body, other->body) << "corpus entry " << i;
+    }
   }
 
-  reactor_daemon.Stop();
-  legacy_daemon.Stop();
+  inline_reactor.Stop();
+  ::close(inline_fd);
+  daemon.Stop();
 }
 
 TEST(PodsdReactorTest, ReassemblesFragmentedFramesAndServesPipelines) {
@@ -211,7 +283,7 @@ TEST(PodsdReactorTest, ReassemblesFragmentedFramesAndServesPipelines) {
 TEST(PodsdReactorTest, ThousandIdleConnectionsBoundedThreads) {
   // THE acceptance criterion: 1000 parked connections may not grow the
   // daemon's thread count at all — connections are epoll entries, not
-  // threads. (The legacy front-end would need 1000 threads here.)
+  // threads.
   WorkflowRegistry registry;
   registry.RegisterBuiltins();
   PodsDaemon::Options opts;

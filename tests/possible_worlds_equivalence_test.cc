@@ -88,18 +88,24 @@ TEST(PossibleWorldsEquivalenceTest, LargerInputSpaceMatchesNaive) {
 TEST(PossibleWorldsEquivalenceTest, ParallelShardsMatchSequential) {
   for (uint64_t seed = 200; seed < 210; ++seed) {
     RandomInstance inst = MakeInstance(2, 2, 3, 2, seed);
+    StandaloneWorlds naive = EnumerateStandaloneWorldsNaive(
+        inst.relation, inst.module->inputs(), inst.module->outputs(),
+        inst.visible);
     EnumerationOptions sequential;
     sequential.num_threads = 1;
-    EnumerationOptions parallel;
-    parallel.num_threads = 4;
-    parallel.min_parallel_candidates = 0;  // force the pool even when tiny
     StandaloneWorlds a = EnumerateStandaloneWorlds(
         inst.relation, inst.module->inputs(), inst.module->outputs(),
         inst.visible, sequential);
-    StandaloneWorlds b = EnumerateStandaloneWorlds(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible, parallel);
-    ExpectIdentical(a, b, seed);
+    ExpectIdentical(naive, a, seed);
+    for (int threads : {2, 4, 8}) {
+      EnumerationOptions parallel;
+      parallel.num_threads = threads;
+      parallel.min_parallel_candidates = 0;  // shard even when tiny
+      StandaloneWorlds b = EnumerateStandaloneWorlds(
+          inst.relation, inst.module->inputs(), inst.module->outputs(),
+          inst.visible, parallel);
+      ExpectIdentical(a, b, seed);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/combinatorics.h"
 #include "common/rng.h"
+#include "common/task_graph.h"
 #include "module/module_library.h"
 #include "privacy/safe_subset_search.h"
 #include "privacy/standalone_privacy.h"
@@ -256,12 +257,13 @@ TEST(SafeSubsetSearchTest, SharedMemoAccumulatesAcrossShardedSearches) {
   EXPECT_GT(second.cache_hits, 0);
 }
 
-TEST(SafeSubsetSearchTest, TaskGraphMatchesBarrierAndSequentialByteForByte) {
-  // Randomized on/off equivalence of the task-graph walk: for every thread
-  // count the task-graph mode must return the same sets in the same order
-  // as both the barrier mode and the sequential walk — and its stats must
-  // equal the SEQUENTIAL stats field for field (the lookup-log replay
-  // guarantee; the barrier mode is only guaranteed the weaker invariants).
+TEST(SafeSubsetSearchTest, ShardedWalkMatchesSequentialByteForByte) {
+  // Randomized equivalence of the task-graph walk against the sequential
+  // reference walk: at every thread count — on a private executor and on a
+  // caller-shared one — it must return the same sets in the same order, and
+  // its stats must equal the sequential stats field for field (the
+  // lookup-log replay guarantee).
+  TaskGraphExecutor shared(3);
   for (uint64_t seed : {uint64_t{5}, uint64_t{97}, uint64_t{3021}}) {
     Rng rng(seed);
     auto catalog = std::make_shared<AttributeCatalog>();
@@ -282,64 +284,54 @@ TEST(SafeSubsetSearchTest, TaskGraphMatchesBarrierAndSequentialByteForByte) {
     std::vector<Bitset64> want = MinimalSafeHiddenSets(
         *m, gamma, &seq_stats, Module::kDefaultMaterializeRows, seq);
 
-    for (int threads : {1, 2, 4}) {
-      SubsetSearchOptions on, off;
-      on.num_threads = threads;
-      on.use_task_graph = true;
-      on.min_parallel_subsets = 0;
-      off.num_threads = threads;
-      off.use_task_graph = false;
-      off.min_parallel_subsets = 0;
-      SafeSearchStats on_stats, off_stats;
-      std::vector<Bitset64> got_on = MinimalSafeHiddenSets(
-          *m, gamma, &on_stats, Module::kDefaultMaterializeRows, on);
-      std::vector<Bitset64> got_off = MinimalSafeHiddenSets(
-          *m, gamma, &off_stats, Module::kDefaultMaterializeRows, off);
-      EXPECT_EQ(got_on, want) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(got_off, want) << "seed " << seed << " threads " << threads;
-      // Replay-exact accounting: the task-graph stats ARE the sequential
-      // stats at every thread count.
-      EXPECT_EQ(on_stats.subsets_examined, seq_stats.subsets_examined);
-      EXPECT_EQ(on_stats.checker_calls, seq_stats.checker_calls)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(on_stats.cache_hits, seq_stats.cache_hits);
-      EXPECT_EQ(on_stats.signature_hits, seq_stats.signature_hits);
-      EXPECT_EQ(on_stats.projection_hits, seq_stats.projection_hits);
-      // The barrier mode keeps the weaker exact-aggregation invariants.
-      EXPECT_EQ(off_stats.subsets_examined, seq_stats.subsets_examined);
-      EXPECT_EQ(off_stats.checker_calls + off_stats.cache_hits,
-                seq_stats.checker_calls + seq_stats.cache_hits);
+    for (int threads : {1, 2, 8}) {
+      for (TaskGraphExecutor* executor : {static_cast<TaskGraphExecutor*>(
+                                              nullptr),
+                                          &shared}) {
+        SubsetSearchOptions par;
+        par.num_threads = threads;
+        par.executor = executor;
+        par.min_parallel_subsets = 0;
+        SafeSearchStats got_stats;
+        std::vector<Bitset64> got = MinimalSafeHiddenSets(
+            *m, gamma, &got_stats, Module::kDefaultMaterializeRows, par);
+        EXPECT_EQ(got, want) << "seed " << seed << " threads " << threads;
+        EXPECT_EQ(got_stats.subsets_examined, seq_stats.subsets_examined);
+        EXPECT_EQ(got_stats.checker_calls, seq_stats.checker_calls)
+            << "seed " << seed << " threads " << threads;
+        EXPECT_EQ(got_stats.cache_hits, seq_stats.cache_hits);
+        EXPECT_EQ(got_stats.signature_hits, seq_stats.signature_hits);
+        EXPECT_EQ(got_stats.projection_hits, seq_stats.projection_hits);
+      }
     }
   }
 }
 
-TEST(SafeSubsetSearchTest, TaskGraphCardinalityPairsMatchModes) {
+TEST(SafeSubsetSearchTest, ShardedCardinalityPairsMatchSequential) {
   Rng rng(53);
   auto catalog = std::make_shared<AttributeCatalog>();
   for (int i = 0; i < 10; ++i) catalog->Add("a" + std::to_string(i));
   ModulePtr m = MakeRandomFunction("f", catalog, {0, 1, 2, 3, 4},
                                    {5, 6, 7, 8, 9}, &rng);
+  TaskGraphExecutor shared(3);
   SubsetSearchOptions seq;
   seq.num_threads = 1;
   for (int64_t gamma : {int64_t{2}, int64_t{4}}) {
     std::vector<CardinalityPair> want = MinimalSafeCardinalityPairs(
         *m, gamma, Module::kDefaultMaterializeRows, seq);
-    for (int threads : {2, 4}) {
-      SubsetSearchOptions on, off;
-      on.num_threads = threads;
-      on.use_task_graph = true;
-      on.min_parallel_subsets = 0;
-      off.num_threads = threads;
-      off.use_task_graph = false;
-      off.min_parallel_subsets = 0;
-      EXPECT_EQ(MinimalSafeCardinalityPairs(
-                    *m, gamma, Module::kDefaultMaterializeRows, on),
-                want)
-          << "gamma " << gamma << " threads " << threads;
-      EXPECT_EQ(MinimalSafeCardinalityPairs(
-                    *m, gamma, Module::kDefaultMaterializeRows, off),
-                want)
-          << "gamma " << gamma << " threads " << threads;
+    for (int threads : {2, 8}) {
+      for (TaskGraphExecutor* executor : {static_cast<TaskGraphExecutor*>(
+                                              nullptr),
+                                          &shared}) {
+        SubsetSearchOptions par;
+        par.num_threads = threads;
+        par.executor = executor;
+        par.min_parallel_subsets = 0;
+        EXPECT_EQ(MinimalSafeCardinalityPairs(
+                      *m, gamma, Module::kDefaultMaterializeRows, par),
+                  want)
+            << "gamma " << gamma << " threads " << threads;
+      }
     }
   }
 }

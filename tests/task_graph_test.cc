@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -240,6 +241,23 @@ TEST(TaskGraphTest, EmptyGraphCompletes) {
   EXPECT_TRUE(graph.Run(&executor).ok());
   TaskGraph inline_graph;
   EXPECT_TRUE(inline_graph.RunInline().ok());
+}
+
+TEST(TaskGraphTest, ExecutorForKeepsTheRunnerCount) {
+  // One runner: inline, no executor at all — even when one is shared.
+  TaskGraphExecutor shared(2);
+  std::unique_ptr<TaskGraphExecutor> owned;
+  EXPECT_EQ(ExecutorFor(1, &shared, &owned), nullptr);
+  EXPECT_EQ(ExecutorFor(0, nullptr, &owned), nullptr);
+  EXPECT_EQ(owned, nullptr);
+  // A shared executor is used as is.
+  EXPECT_EQ(ExecutorFor(4, &shared, &owned), &shared);
+  EXPECT_EQ(owned, nullptr);
+  // Otherwise a private one: threads-1 workers plus the helping caller.
+  TaskGraphExecutor* local = ExecutorFor(4, nullptr, &owned);
+  ASSERT_NE(local, nullptr);
+  EXPECT_EQ(local, owned.get());
+  EXPECT_EQ(local->num_threads(), 3);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/task_graph.h"
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "privacy/workflow_privacy.h"
@@ -105,12 +106,25 @@ TEST(WorkflowBatchTest, ThreadCountsAgree) {
   EXPECT_EQ(a.stats.checker_calls, b.stats.checker_calls);
 }
 
-TEST(WorkflowBatchTest, TaskGraphOnOffFieldIdentical) {
-  // Randomized on/off equivalence: the task-graph driver (per-module request
-  // chains + per-request verdict tasks + overlapped ground truth) must be
-  // field-identical to the historical fork-join driver — entries AND stats —
-  // at every thread count.
-  for (uint64_t seed : {uint64_t{13}, uint64_t{101}, uint64_t{977}}) {
+TEST(WorkflowBatchTest, ParallelBatchFieldIdenticalToSequential) {
+  // Randomized equivalence: the batch graph (per-module request chains +
+  // per-request verdict tasks + overlapped ground truth) at 2 and 8
+  // threads, on a private executor and on a caller-shared one, must be
+  // field-identical to the same graph run inline at one thread — entries
+  // AND stats. The one-thread run itself is pinned to golden aggregates
+  // recorded from the earlier two-phase implementation.
+  struct Golden {
+    uint64_t seed;
+    int certified;
+    int ground_truth_private;
+    int64_t checker_calls;
+    int64_t cache_hits;
+  };
+  const Golden goldens[] = {
+      {13, 20, 28, 18, 494}, {101, 44, 56, 25, 487}, {977, 8, 16, 18, 238}};
+  TaskGraphExecutor shared(3);
+  for (const Golden& golden : goldens) {
+    const uint64_t seed = golden.seed;
     Rng rng(seed);
     RandomWorkflowOptions options;
     options.num_modules = 4;
@@ -120,41 +134,59 @@ TEST(WorkflowBatchTest, TaskGraphOnOffFieldIdentical) {
     std::vector<WorkflowCertificationRequest> requests =
         AllSubsetRequests(*g.workflow, 2);
 
-    for (int threads : {1, 2, 4}) {
-      WorkflowBatchOptions on, off;
-      on.num_threads = threads;
-      on.use_task_graph = true;
-      on.with_ground_truth = true;
-      off = on;
-      off.use_task_graph = false;
-      WorkflowBatchResult a = CertifyWorkflowBatch(*g.workflow, requests, on);
-      WorkflowBatchResult b = CertifyWorkflowBatch(*g.workflow, requests, off);
-      ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-      ASSERT_TRUE(b.status.ok()) << b.status.ToString();
-      ASSERT_EQ(a.entries.size(), b.entries.size());
-      for (size_t r = 0; r < a.entries.size(); ++r) {
-        EXPECT_EQ(a.entries[r].certificate.certified,
-                  b.entries[r].certificate.certified)
-            << "seed " << seed << " threads " << threads << " request " << r;
-        EXPECT_EQ(a.entries[r].certificate.module_gammas,
-                  b.entries[r].certificate.module_gammas);
-        EXPECT_EQ(a.entries[r].certificate.required_privatizations,
-                  b.entries[r].certificate.required_privatizations);
-        EXPECT_EQ(a.entries[r].ground_truth_private,
-                  b.entries[r].ground_truth_private);
+    WorkflowBatchOptions seq;
+    seq.num_threads = 1;
+    seq.with_ground_truth = true;
+    WorkflowBatchResult want = CertifyWorkflowBatch(*g.workflow, requests, seq);
+    ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+    int certified = 0;
+    int ground_truth_private = 0;
+    for (const WorkflowBatchEntry& e : want.entries) {
+      certified += e.certificate.certified ? 1 : 0;
+      ground_truth_private += e.ground_truth_private ? 1 : 0;
+    }
+    EXPECT_EQ(certified, golden.certified) << "seed " << seed;
+    EXPECT_EQ(ground_truth_private, golden.ground_truth_private)
+        << "seed " << seed;
+    EXPECT_EQ(want.stats.checker_calls, golden.checker_calls)
+        << "seed " << seed;
+    EXPECT_EQ(want.stats.cache_hits, golden.cache_hits) << "seed " << seed;
+
+    for (int threads : {2, 8}) {
+      for (TaskGraphExecutor* executor : {static_cast<TaskGraphExecutor*>(
+                                              nullptr),
+                                          &shared}) {
+        WorkflowBatchOptions par = seq;
+        par.num_threads = threads;
+        par.executor = executor;
+        WorkflowBatchResult got =
+            CertifyWorkflowBatch(*g.workflow, requests, par);
+        ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+        ASSERT_EQ(got.entries.size(), want.entries.size());
+        for (size_t r = 0; r < got.entries.size(); ++r) {
+          EXPECT_EQ(got.entries[r].certificate.certified,
+                    want.entries[r].certificate.certified)
+              << "seed " << seed << " threads " << threads << " request "
+              << r;
+          EXPECT_EQ(got.entries[r].certificate.module_gammas,
+                    want.entries[r].certificate.module_gammas);
+          EXPECT_EQ(got.entries[r].certificate.required_privatizations,
+                    want.entries[r].certificate.required_privatizations);
+          EXPECT_EQ(got.entries[r].ground_truth_private,
+                    want.entries[r].ground_truth_private);
+        }
+        EXPECT_EQ(got.stats.checker_calls, want.stats.checker_calls)
+            << "seed " << seed << " threads " << threads;
+        EXPECT_EQ(got.stats.cache_hits, want.stats.cache_hits)
+            << "seed " << seed << " threads " << threads;
       }
-      EXPECT_EQ(a.stats.checker_calls, b.stats.checker_calls)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits)
-          << "seed " << seed << " threads " << threads;
     }
   }
 }
 
-TEST(WorkflowBatchTest, TaskGraphSharesBankAcrossBatches) {
-  // The memo bank carries verdicts across task-graph batches exactly as it
-  // does across fork-join batches: a second identical batch answers fully
-  // from the memo in both modes.
+TEST(WorkflowBatchTest, SharesBankAcrossBatches) {
+  // The memo bank carries verdicts across batches: a second identical
+  // batch answers fully from the memo, inline and on the executor alike.
   Rng rng(29);
   RandomWorkflowOptions options;
   options.num_modules = 3;
@@ -164,20 +196,19 @@ TEST(WorkflowBatchTest, TaskGraphSharesBankAcrossBatches) {
   std::vector<WorkflowCertificationRequest> requests =
       AllSubsetRequests(*g.workflow, 2);
 
-  for (bool use_graph : {true, false}) {
+  for (int threads : {1, 2}) {
     WorkflowCacheNamespace bank(*g.workflow);
     WorkflowBatchOptions opts;
-    opts.num_threads = 2;
-    opts.use_task_graph = use_graph;
+    opts.num_threads = threads;
     WorkflowBatchResult first =
         CertifyWorkflowBatch(*g.workflow, requests, opts, &bank);
     WorkflowBatchResult second =
         CertifyWorkflowBatch(*g.workflow, requests, opts, &bank);
     ASSERT_TRUE(first.status.ok());
     ASSERT_TRUE(second.status.ok());
-    EXPECT_GT(first.stats.checker_calls, 0) << "use_task_graph " << use_graph;
-    EXPECT_EQ(second.stats.checker_calls, 0) << "use_task_graph " << use_graph;
-    EXPECT_GT(second.stats.cache_hits, 0) << "use_task_graph " << use_graph;
+    EXPECT_GT(first.stats.checker_calls, 0) << "threads " << threads;
+    EXPECT_EQ(second.stats.checker_calls, 0) << "threads " << threads;
+    EXPECT_GT(second.stats.cache_hits, 0) << "threads " << threads;
     for (size_t r = 0; r < requests.size(); ++r) {
       EXPECT_EQ(first.entries[r].certificate.certified,
                 second.entries[r].certificate.certified);

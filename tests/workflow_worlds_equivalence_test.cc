@@ -9,6 +9,7 @@
 
 #include "common/combinatorics.h"
 #include "common/rng.h"
+#include "common/task_graph.h"
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "module/module_library.h"
@@ -112,21 +113,34 @@ TEST(WorkflowWorldsEquivalenceTest, FixedModulesMatchNaive) {
 }
 
 TEST(WorkflowWorldsEquivalenceTest, ParallelShardsMatchSequential) {
+  // Shards on a private executor and on a caller-shared one must reproduce
+  // the sequential walk and the naive oracle at every thread count.
+  TaskGraphExecutor shared(3);
   for (uint64_t seed = 200; seed < 210; ++seed) {
     Rng rng(seed * 17 + 1);
     GeneratedWorkflow g = MakeRandomWorkflow(SmallOptions(2), &rng);
     if (NaiveJoint(*g.workflow, {}) > (1 << 16)) continue;
     Bitset64 visible = RandomVisible(*g.workflow, &rng, 0.5);
+    WorkflowWorlds naive =
+        EnumerateWorkflowWorldsNaive(*g.workflow, visible, {});
     WorkflowEnumerationOptions sequential;
     sequential.num_threads = 1;
-    WorkflowEnumerationOptions parallel;
-    parallel.num_threads = 4;
-    parallel.min_parallel_candidates = 0;  // force the pool even when tiny
     WorkflowWorlds a =
         EnumerateWorkflowWorlds(*g.workflow, visible, {}, sequential);
-    WorkflowWorlds b =
-        EnumerateWorkflowWorlds(*g.workflow, visible, {}, parallel);
-    ExpectIdentical(a, b, seed);
+    ExpectIdentical(naive, a, seed);
+    for (int threads : {2, 4, 8}) {
+      for (TaskGraphExecutor* executor : {static_cast<TaskGraphExecutor*>(
+                                              nullptr),
+                                          &shared}) {
+        WorkflowEnumerationOptions parallel;
+        parallel.num_threads = threads;
+        parallel.executor = executor;
+        parallel.min_parallel_candidates = 0;  // shard even when tiny
+        WorkflowWorlds b =
+            EnumerateWorkflowWorlds(*g.workflow, visible, {}, parallel);
+        ExpectIdentical(a, b, seed);
+      }
+    }
   }
 }
 
