@@ -345,21 +345,20 @@ struct DeepCase {
   Bitset64 visible;
 };
 
-void FixpointSpeedupTable() {
-  PrintBanner(
-      "E1f: feasible-set fixpoint engine vs determined-input engine "
-      "(>=4-stage workflows)");
+void FixpointTable() {
+  PrintBanner("E1f: feasible-set fixpoint engine on >=4-stage workflows");
   Rng rng(612);
   // The generated workflows must outlive their tables (WorkflowTables
   // borrows the Workflow).
   // 4-stage one-one chain, 2 bits per layer, hide layer 3 (the inputs of
   // the last stage): the fixpoint forces stages 1-2 through the visible
-  // layers and prunes stage 3 against the view; the determined-input engine
-  // walks stages 2-4 at full range.
+  // layers and prunes stage 3 against the view instead of walking stages
+  // 2-4 at full range.
   OneOneChain chain = MakeOneOneChain(4, 2, &rng);
   // Diamond with tail (longest path 4 modules), hide the sink's outputs:
   // both branches and the source get forced, the sink prunes, the tail is
-  // walked by both engines.
+  // walked. tests/feasible_sets_test.cc pins both shapes' walked states,
+  // counts and OUT sets (E1fShapesWalkedStatePin).
   DiamondWorkflow dia = MakeDiamondWorkflow(1, /*with_tail=*/true, &rng);
 
   std::vector<DeepCase> cases;
@@ -378,43 +377,23 @@ void FixpointSpeedupTable() {
                      hidden.Complement()});
   }
 
-  TablePrinter t({"config", "off walked", "on walked", "fn choices",
-                  "off ms", "on ms", "speedup"});
-  double min_speedup = 1e100;
+  TablePrinter t({"config", "naive joint", "walked", "fn choices", "ms"});
   for (const DeepCase& c : cases) {
-    WorkflowEnumerationOptions on, off;
-    on.max_candidates = off.max_candidates = int64_t{1} << 33;
-    on.num_threads = off.num_threads = 0;  // auto
-    off.use_feasible_sets = false;
-    WorkflowWorlds won, woff;
-    double off_ms = TimeMs(1, [&] {
-      woff = EnumerateWorkflowWorlds(*c.tables, c.visible, {}, off);
+    WorkflowEnumerationOptions opts;
+    opts.max_candidates = int64_t{1} << 33;
+    opts.num_threads = 0;  // auto
+    WorkflowWorlds w;
+    double ms = TimeMs(3, [&] {
+      w = EnumerateWorkflowWorlds(*c.tables, c.visible, {}, opts);
     });
-    double on_ms = TimeMs(3, [&] {
-      won = EnumerateWorkflowWorlds(*c.tables, c.visible, {}, on);
-    });
-    PV_CHECK_MSG(won.num_function_choices == woff.num_function_choices &&
-                     won.num_distinct_relations ==
-                         woff.num_distinct_relations &&
-                     won.out_sets == woff.out_sets,
-                 "fixpoint engine diverged from the base engine on "
-                     << c.label);
-    double speedup = off_ms / std::max(on_ms, 1e-6);
-    min_speedup = std::min(min_speedup, speedup);
     t.NewRow()
         .AddCell(c.label)
-        .AddCell(woff.pruned_candidates)
-        .AddCell(won.pruned_candidates)
-        .AddCell(won.num_function_choices)
-        .AddCell(off_ms, 2)
-        .AddCell(on_ms, 2)
-        .AddCell(speedup, 1);
+        .AddCell(w.naive_candidates)
+        .AddCell(w.pruned_candidates)
+        .AddCell(w.num_function_choices)
+        .AddCell(ms, 2);
   }
   t.Print();
-  std::cout << "  deep min speedup " << min_speedup
-            << "x (acceptance target: >= 5x on >=4-stage shapes; function "
-               "choices, distinct relations and OUT sets verified identical "
-               "per row)\n";
 }
 
 void ShardedSubsetSearchTable() {
@@ -448,24 +427,20 @@ void ShardedSubsetSearchTable() {
     // Untimed warmup: first-touch costs (relation materialization, page
     // cache, allocator arenas) must not be billed to the first variant.
     SafeSearchStats s;
-    a = MinimalSafeHiddenSets(*m, gamma, &s, Module::kDefaultMaterializeRows,
-                              seq);
+    a = MinimalSafeHiddenSets(*m, gamma, &s, seq);
   }
   double seq_ms = std::numeric_limits<double>::infinity();
   double sharded_ms = std::numeric_limits<double>::infinity();
   for (int round = 0; round < rounds; ++round) {
     seq_ms = std::min(seq_ms, RaceTimeMs([&] {
                         SafeSearchStats s;
-                        a = MinimalSafeHiddenSets(
-                            *m, gamma, &s, Module::kDefaultMaterializeRows,
-                            seq);
+                        a = MinimalSafeHiddenSets(*m, gamma, &s, seq);
                         seq_stats = s;
                       }));
     sharded_ms = std::min(sharded_ms, RaceTimeMs([&] {
                             SafeSearchStats s;
-                            b = MinimalSafeHiddenSets(
-                                *m, gamma, &s,
-                                Module::kDefaultMaterializeRows, sharded);
+                            b = MinimalSafeHiddenSets(*m, gamma, &s,
+                                                      sharded);
                             sharded_stats = s;
                           }));
   }
@@ -592,7 +567,7 @@ int main() {
   WorkflowSpeedupTable();
   StreamingStandaloneTable();
   StreamingWorkflowTable();
-  FixpointSpeedupTable();
+  FixpointTable();
   ShardedSubsetSearchTable();
   std::cout << "\n[bench_possible_worlds done in " << sw.ElapsedSeconds()
             << "s]\n";

@@ -1,13 +1,14 @@
 // Shared execution knobs of the privacy engines. EngineConfig is the single
-// definition of num_threads / materialize_threshold / executor / control;
-// the per-engine option structs (WorkflowTablesOptions, SubsetSearchOptions,
+// definition of num_threads / executor / control; the per-engine option
+// structs (WorkflowTablesOptions, SubsetSearchOptions,
 // WorkflowEnumerationOptions, WorkflowBatchOptions) embed it as a base, so
-// one configuration threads through a pipeline of engine calls.
+// one configuration threads through a pipeline of engine calls. Knobs only
+// some engines read (e.g. materialize_threshold) live on those engines'
+// option structs instead.
 #ifndef PROVVIEW_COMMON_ENGINE_CONFIG_H_
 #define PROVVIEW_COMMON_ENGINE_CONFIG_H_
 
 #include <algorithm>
-#include <cstdint>
 #include <thread>
 
 namespace provview {
@@ -32,11 +33,6 @@ struct EngineConfig {
   /// Runners (see ResolveThreads). 0 = hardware concurrency, 1 = fully
   /// sequential: the engine's task graph runs inline on the calling thread.
   int num_threads = 1;
-
-  /// Module domains of at most this many rows use the materialized
-  /// relation fast path; larger domains stream rows from the module's
-  /// function per pass. Mirrors Module::kDefaultMaterializeRows.
-  int64_t materialize_threshold = int64_t{1} << 22;
 
   /// Optional shared executor (e.g. the daemon's). nullptr = a private
   /// executor per call sized so the calling thread plus its workers total

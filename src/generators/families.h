@@ -59,9 +59,8 @@ Example7OutputChain MakeExample7OutputChain(int k, Rng* rng);
 /// A `stages`-stage chain of random one-one modules on k boolean attributes
 /// per layer — the deep-workflow shape the feasible-set fixpoint targets:
 /// hiding one intermediate layer leaves every layer above it fully visible,
-/// so the fixpoint forces the upstream stages and prunes the hidden stage,
-/// while the determined-input-only engine walks every stage past the first
-/// at full range (E1f).
+/// so the fixpoint forces the upstream stages and prunes the hidden stage
+/// instead of walking every stage past the first at full range (E1f).
 struct OneOneChain {
   CatalogPtr catalog;
   WorkflowPtr workflow;

@@ -1,9 +1,11 @@
 #include "privacy/feasible_sets.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "common/combinatorics.h"
 #include "common/interner.h"
@@ -38,7 +40,44 @@ std::vector<int32_t> ToSortedValues(const ValueSet& s) {
   return out;
 }
 
-}  // namespace
+// The determined-module visible-projection pruning core. For a determined
+// free module every execution reaches its original input code, so a
+// candidate output code c is allowed on a reached slot iff for every
+// determined-visible row prefix of an execution reaching that slot,
+// (prefix, visible output fragment of c) occurs in the target view's
+// projection onto those positions. RescanLog() builds the projection
+// interner and the per-slot prefix sets for a given determined set (one
+// pass over the materialized log — the fixpoint caches it while the
+// determined set is unchanged); CandidateLists() filters the range against
+// it.
+class DeterminedSlotPruner {
+ public:
+  /// Filter on decoded output values: (output index within the module's
+  /// output list, value) -> keep.
+  using ValueFilter = std::function<bool(size_t, int32_t)>;
+
+  DeterminedSlotPruner(const WorkflowTables& tables, int module,
+                       const Bitset64& visible);
+
+  /// (Re)builds the log-scan structures for the given determined set.
+  void RescanLog(const std::vector<bool>& det_attr);
+
+  /// Candidate output-code lists per reached slot, aligned with
+  /// WorkflowTables::orig_input_codes[module]. Requires a prior RescanLog.
+  std::vector<std::vector<int32_t>> CandidateLists(
+      const ValueFilter& value_ok) const;
+
+ private:
+  const WorkflowTables* tables_;
+  int module_;
+  std::vector<bool> vis_attr_;      // per attribute id
+  std::vector<int> vis_out_pos_;    // prov positions of visible outputs
+  std::vector<size_t> vis_out_local_;
+  bool scanned_ = false;
+  std::vector<int> det_vis_pos_;    // prov positions of det+visible attrs
+  TupleInterner allowed_;
+  std::map<int32_t, std::set<Tuple>> prefixes_;  // per reached input code
+};
 
 DeterminedSlotPruner::DeterminedSlotPruner(const WorkflowTables& tables,
                                            int module,
@@ -116,9 +155,7 @@ std::vector<std::vector<int32_t>> DeterminedSlotPruner::CandidateLists(
       const int32_t* vals =
           &tables.out_values[smi][static_cast<size_t>(c) * n_out];
       bool ok = true;
-      if (value_ok) {
-        for (size_t j = 0; ok && j < n_out; ++j) ok = value_ok(j, vals[j]);
-      }
+      for (size_t j = 0; ok && j < n_out; ++j) ok = value_ok(j, vals[j]);
       for (auto it = prefix_set.begin(); ok && it != prefix_set.end(); ++it) {
         key.assign(it->begin(), it->end());
         for (size_t j : vis_out_local_) key.push_back(vals[j]);
@@ -130,6 +167,8 @@ std::vector<std::vector<int32_t>> DeterminedSlotPruner::CandidateLists(
   }
   return lists;
 }
+
+}  // namespace
 
 FeasibleSetAnalysis AnalyzeFeasibleSets(const WorkflowTables& tables,
                                         const Bitset64& visible,
@@ -228,9 +267,8 @@ FeasibleSetAnalysis AnalyzeFeasibleSets(const WorkflowTables& tables,
   };
 
   // Recomputes module mi's per-reached-slot candidate lists (mi determined
-  // and free) through the shared DeterminedSlotPruner — the same
-  // visible-projection test the use_feasible_sets=false engine runs, here
-  // with the extended pinned set and intersected with the per-attribute
+  // and free) through the DeterminedSlotPruner: the visible-projection test
+  // over the extended pinned set, intersected with the per-attribute
   // feasible sets of ALL outputs (hidden ones included: that is where
   // downstream narrowing bites). The O(num_execs) log scan depends only on
   // the pinned-visible set, so it is cached per module and redone only

@@ -1,7 +1,9 @@
 // Feasible-set fixpoint analysis over the workflow DAG: an abstract
-// interpretation run once per (workflow tables, visible set, fixed set)
-// before world enumeration, so the enumerator can shrink candidate lists of
-// slots the determined-input pruning of the base engine cannot touch.
+// interpretation EnumerateWorkflowWorlds runs once per (workflow tables,
+// visible set, fixed set) before its walk. Its result is the enumerator's
+// whole pruning input: which modules are determined, each determined
+// slot's candidate output codes, and which domain points of the other free
+// modules can be factored out of the walk.
 //
 // Abstract domain (one element per attribute / module, all finite):
 //
@@ -24,8 +26,10 @@
 //     input-code set through its function; a free module's reached output
 //     codes are those whose per-attribute values are all feasible (for a
 //     determined free module, additionally those surviving the per-slot
-//     visible-projection test of the base engine); output attributes then
-//     narrow to the projections of the surviving codes;
+//     visible-projection test: for every determined-visible row prefix of
+//     an execution reaching the slot, the prefix plus the code's visible
+//     output fragment must occur in the target view); output attributes
+//     then narrow to the projections of the surviving codes;
 //   - backward, in reverse topological order, through FIXED modules only
 //     (a free module can map any input to any feasible output, so its
 //     outputs never constrain its inputs): input codes whose image left the
@@ -58,58 +62,12 @@
 #define PROVVIEW_PRIVACY_FEASIBLE_SETS_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/bitset64.h"
-#include "common/interner.h"
 #include "privacy/possible_worlds.h"
 
 namespace provview {
-
-/// The determined-module visible-projection pruning core, shared verbatim by
-/// the use_feasible_sets=false engine (plain determined-attribute rule, no
-/// value filter) and the fixpoint (extended pinned set plus feasible-value
-/// filtering) — one implementation, so the two engines cannot drift.
-///
-/// For a determined free module every execution reaches its original input
-/// code, so a candidate output code c is allowed on a reached slot iff for
-/// every determined-visible row prefix of an execution reaching that slot,
-/// (prefix, visible output fragment of c) occurs in the target view's
-/// projection onto those positions. RescanLog() builds the projection
-/// interner and the per-slot prefix sets for a given determined set (one
-/// pass over the materialized log — callers cache it while the determined
-/// set is unchanged); CandidateLists() filters the range against it.
-class DeterminedSlotPruner {
- public:
-  /// Filter on decoded output values: (output index within the module's
-  /// output list, value) -> keep. Empty function = no extra filter.
-  using ValueFilter = std::function<bool(size_t, int32_t)>;
-
-  DeterminedSlotPruner(const WorkflowTables& tables, int module,
-                       const Bitset64& visible);
-
-  /// (Re)builds the log-scan structures for the given determined set.
-  void RescanLog(const std::vector<bool>& det_attr);
-
-  /// Candidate output-code lists per reached slot, aligned with
-  /// WorkflowTables::orig_input_codes[module]. Requires a prior RescanLog.
-  std::vector<std::vector<int32_t>> CandidateLists(
-      const ValueFilter& value_ok) const;
-
- private:
-  const WorkflowTables* tables_;
-  int module_;
-  std::vector<bool> vis_attr_;      // per attribute id
-  std::vector<int> vis_out_pos_;    // prov positions of visible outputs
-  std::vector<size_t> vis_out_local_;
-  bool scanned_ = false;
-  std::vector<int> det_vis_pos_;    // prov positions of det+visible attrs
-  TupleInterner allowed_;
-  std::map<int32_t, std::set<Tuple>> prefixes_;  // per reached input code
-};
 
 /// Result of the feasible-set fixpoint for one (tables, visible, fixed) key.
 struct FeasibleSetAnalysis {
@@ -140,7 +98,7 @@ struct FeasibleSetAnalysis {
   std::vector<std::vector<int32_t>> feasible_out_codes;
 
   /// Σ over non-determined modules of dom points proven unreachable — the
-  /// slots the enumerator factors that the base engine walks at full range.
+  /// slots the enumerator factors instead of walking at full range.
   int64_t factored_free_slots = 0;
 };
 

@@ -398,16 +398,6 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
   return result;
 }
 
-StandaloneWorlds EnumerateStandaloneWorlds(const Relation& rel,
-                                           const std::vector<AttrId>& inputs,
-                                           const std::vector<AttrId>& outputs,
-                                           const Bitset64& visible,
-                                           int64_t max_candidates) {
-  EnumerationOptions opts;
-  opts.max_candidates = max_candidates;
-  return EnumerateStandaloneWorlds(rel, inputs, outputs, visible, opts);
-}
-
 StandaloneWorlds EnumerateStandaloneWorldsNaive(
     const Relation& rel, const std::vector<AttrId>& inputs,
     const std::vector<AttrId>& outputs, const Bitset64& visible,
@@ -508,14 +498,6 @@ int64_t WorkflowWorlds::MinOutSize(int module_index) const {
 // ----------------------------------------------------------------------------
 // Workflow tables: the per-workflow precomputation shared across enumerations.
 // ----------------------------------------------------------------------------
-
-std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
-    const Workflow& workflow, int64_t max_executions) {
-  WorkflowTablesOptions opts;
-  opts.max_executions = max_executions;
-  opts.materialize_threshold = max_executions;
-  return BuildWorkflowTables(workflow, opts);
-}
 
 std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
     const Workflow& workflow, const WorkflowTablesOptions& opts) {
@@ -1206,47 +1188,19 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   }
   inst.target = &target;
 
-  // Modules whose input is the same in every world. The base rule: every
-  // input attribute is an initial input or produced by a fixed module that
-  // is itself determined. With the feasible-set pass on, the fixpoint's
-  // pinned set extends this through forced free modules and supplies the
-  // per-slot candidate lists and unreachable-domain-point factoring below.
-  std::unique_ptr<FeasibleSetAnalysis> analysis;
-  if (opts.use_feasible_sets) {
-    analysis = std::make_unique<FeasibleSetAnalysis>(
-        AnalyzeFeasibleSets(tables, visible, fixed_modules));
-  }
-  std::vector<bool> det_attr(static_cast<size_t>(tables.num_attrs), false);
-  std::vector<bool> determined(static_cast<size_t>(n), false);
-  if (analysis != nullptr) {
-    det_attr.assign(analysis->pinned_attr.begin(), analysis->pinned_attr.end());
-    determined.assign(analysis->determined.begin(),
-                      analysis->determined.end());
-  } else {
-    for (AttrId id : workflow.initial_input_ids()) {
-      det_attr[static_cast<size_t>(id)] = true;
-    }
-    for (int mi : inst.topo) {
-      const size_t smi = static_cast<size_t>(mi);
-      bool det = true;
-      for (AttrId id : tables.in_attrs[smi]) {
-        det = det && det_attr[static_cast<size_t>(id)];
-      }
-      determined[smi] = det;
-      if (det && fixed[smi]) {
-        for (AttrId id : tables.out_attrs[smi]) {
-          det_attr[static_cast<size_t>(id)] = true;
-        }
-      }
-    }
-  }
+  // Modules whose input is the same in every world: the feasible-set
+  // fixpoint's pinned set (initial inputs, extended through fixed and
+  // forced free modules). The analysis also supplies the per-slot candidate
+  // lists and the unreachable-domain-point factoring below.
+  const FeasibleSetAnalysis analysis =
+      AnalyzeFeasibleSets(tables, visible, fixed_modules);
+  const std::vector<bool>& det_attr = analysis.pinned_attr;
+  const std::vector<bool>& determined = analysis.determined;
   // Positions (in the prov row) of visible determined attributes: the part
   // of every execution's row no world can change.
   std::vector<int> det_vis_pos;
-  std::vector<int> pos_of_attr(static_cast<size_t>(tables.num_attrs), -1);
   for (size_t p = 0; p < prov_arity; ++p) {
     const AttrId id = tables.prov_ids[p];
-    pos_of_attr[static_cast<size_t>(id)] = static_cast<int>(p);
     if (det_attr[static_cast<size_t>(id)] && id < visible.size() &&
         visible.Test(id)) {
       det_vis_pos.push_back(static_cast<int>(p));
@@ -1315,10 +1269,10 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   // Build the walked slots, grouped by free module in reverse topological
   // order: digit 1 cycles fastest, so the most frequent odometer steps hit
   // the topologically last module and re-execute the shortest suffix.
-  // Non-determined modules keep the full output range on every slot (their
-  // reachedness varies across worlds, so no code can be excluded soundly);
-  // determined modules are pruned against the visible provenance view and
-  // their unreached slots are factored out.
+  // Non-determined modules keep the full output range on every feasible
+  // slot (their reachedness varies across worlds, so no code can be
+  // excluded soundly); determined modules take the fixpoint's pruned lists
+  // and their unreached slots are factored out.
   std::vector<int> slot_module_order = inst.free_modules;
   std::sort(slot_module_order.begin(), slot_module_order.end(),
             [&](int a, int b) {
@@ -1326,8 +1280,6 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
                      inst.topo_pos[static_cast<size_t>(b)];
             });
   std::vector<std::vector<int32_t>> all_codes(static_cast<size_t>(n));
-  std::vector<std::vector<std::vector<int32_t>>> det_codes(
-      static_cast<size_t>(n));
   // Singleton lists for domain points of free modules the fixpoint proved
   // unreachable in every consistent world: walked pinned to the original
   // code (so inconsistent mid-walk states that still route an execution
@@ -1345,25 +1297,16 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     if (!determined[si]) {
       all_codes[si].resize(static_cast<size_t>(range));
       std::iota(all_codes[si].begin(), all_codes[si].end(), 0);
-      const std::vector<int32_t>* din =
-          analysis != nullptr ? &analysis->feasible_in_codes[si] : nullptr;
-      if (din != nullptr) {
-        // Exact-size reserve keeps the singleton lists' addresses stable
-        // while slots still point at them.
-        nd_pinned[si].reserve(static_cast<size_t>(tables.dom_size[si]) -
-                              din->size());
-      }
+      const std::vector<int32_t>& din = analysis.feasible_in_codes[si];
+      // Exact-size reserve keeps the singleton lists' addresses stable
+      // while slots still point at them.
+      nd_pinned[si].reserve(static_cast<size_t>(tables.dom_size[si]) -
+                            din.size());
       size_t fit = 0;
       for (int64_t d = 0; d < tables.dom_size[si]; ++d) {
-        bool reachable = true;
-        if (din != nullptr) {
-          if (fit < din->size() &&
-              (*din)[fit] == static_cast<int32_t>(d)) {
-            ++fit;
-          } else {
-            reachable = false;
-          }
-        }
+        const bool reachable =
+            fit < din.size() && din[fit] == static_cast<int32_t>(d);
+        if (reachable) ++fit;
         inst.slot_of[si][static_cast<size_t>(d)] =
             static_cast<int32_t>(inst.slots.size());
         if (reachable) {
@@ -1381,40 +1324,14 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
       }
       continue;
     }
-    if (analysis != nullptr) {
-      // The fixpoint already ran the visible-projection pruning (with the
-      // extended pinned set) and the feasible-value narrowing; consume its
-      // per-reached-slot lists and factor the unreached domain points.
-      const auto& lists = analysis->det_slot_codes[si];
-      const auto& reached = tables.orig_input_codes[si];
-      PV_CHECK(lists.size() == reached.size());
-      for (int64_t u = static_cast<int64_t>(reached.size());
-           u < tables.dom_size[si]; ++u) {
-        factored_multiplier = SaturatingMul(factored_multiplier, range);
-      }
-      for (size_t k = 0; k < reached.size(); ++k) {
-        inst.slot_of[si][static_cast<size_t>(reached[k])] =
-            static_cast<int32_t>(inst.slots.size());
-        inst.slots.push_back(WfInstance::Slot{i, reached[k], &lists[k]});
-        result.pruned_candidates = SaturatingMul(
-            result.pruned_candidates, static_cast<int64_t>(lists[k].size()));
-      }
-      continue;
-    }
-    // Shared pruning core (privacy/feasible_sets.h): allowed
-    // (determined-visible prefix, visible-output fragment) pairs are the
-    // target view's projection onto those positions — a slot code whose
-    // fragment never co-occurs with one of its executions' prefixes forces
-    // that execution's row out of the view in every world. The fixpoint
-    // engine runs the identical core with its extended pinned set and a
-    // feasible-value filter.
-    DeterminedSlotPruner pruner(tables, i, visible);
-    pruner.RescanLog(det_attr);
-    det_codes[si] = pruner.CandidateLists(/*value_ok=*/nullptr);
+    // The fixpoint already ran the visible-projection pruning (with the
+    // extended pinned set) and the feasible-value narrowing; consume its
+    // per-reached-slot lists. Slots reached by no execution multiply the
+    // world count without changing any candidate relation: factor them out
+    // of the walk.
+    const auto& lists = analysis.det_slot_codes[si];
     const auto& reached = tables.orig_input_codes[si];
-    PV_CHECK(det_codes[si].size() == reached.size());
-    // Slots reached by no execution multiply the world count without
-    // changing any candidate relation: factor them out of the walk.
+    PV_CHECK(lists.size() == reached.size());
     for (int64_t u = static_cast<int64_t>(reached.size());
          u < tables.dom_size[si]; ++u) {
       factored_multiplier = SaturatingMul(factored_multiplier, range);
@@ -1422,10 +1339,9 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     for (size_t k = 0; k < reached.size(); ++k) {
       inst.slot_of[si][static_cast<size_t>(reached[k])] =
           static_cast<int32_t>(inst.slots.size());
-      inst.slots.push_back(WfInstance::Slot{i, reached[k], &det_codes[si][k]});
+      inst.slots.push_back(WfInstance::Slot{i, reached[k], &lists[k]});
       result.pruned_candidates = SaturatingMul(
-          result.pruned_candidates,
-          static_cast<int64_t>(det_codes[si][k].size()));
+          result.pruned_candidates, static_cast<int64_t>(lists[k].size()));
     }
   }
   if (result.pruned_candidates > opts.max_candidates) {
@@ -1465,20 +1381,8 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   // OUT-set marks: one pair per (free module, original input code).
   std::vector<bool> gamma_tracked(static_cast<size_t>(n), false);
   if (opts.gamma > 0) {
-    if (opts.gamma_modules.empty()) {
-      for (int i : inst.free_modules) {
-        if (!workflow.module(i).is_public()) {
-          gamma_tracked[static_cast<size_t>(i)] = true;
-        }
-      }
-    } else {
-      for (int i : opts.gamma_modules) {
-        PV_CHECK(i >= 0 && i < n);
-        // A fixed module's OUT sets are singletons: it can never reach
-        // Γ > 1, and silently dropping it would turn into a vacuous
-        // early-stop success below.
-        PV_CHECK_MSG(!fixed[static_cast<size_t>(i)],
-                     "gamma_modules must not contain fixed module " << i);
+    for (int i : inst.free_modules) {
+      if (!workflow.module(i).is_public()) {
         gamma_tracked[static_cast<size_t>(i)] = true;
       }
     }
@@ -1585,15 +1489,6 @@ WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
   topts.control = opts.control;  // the build shares the request's deadline
   return EnumerateWorkflowWorlds(*BuildWorkflowTables(workflow, topts),
                                  visible, fixed_modules, opts);
-}
-
-WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
-                                       const Bitset64& visible,
-                                       const std::vector<int>& fixed_modules,
-                                       int64_t max_candidates) {
-  WorkflowEnumerationOptions opts;
-  opts.max_candidates = max_candidates;
-  return EnumerateWorkflowWorlds(workflow, visible, fixed_modules, opts);
 }
 
 WorkflowWorlds EnumerateWorkflowWorldsNaive(const Workflow& workflow,

@@ -14,6 +14,12 @@
 // short-circuits once every input's OUT set has reached Γ, and can shard the
 // walk over the first slot's feasible codes on the task-graph executor.
 // Both compute byte-identical num_worlds / out_sets on full runs.
+//
+// The workflow side mirrors this: EnumerateWorkflowWorldsNaive is the joint
+// odometer over every free module's full function space (the
+// specification), and EnumerateWorkflowWorlds is the one production engine
+// — shared per-workflow tables, the feasible-set fixpoint pruning of
+// privacy/feasible_sets.h, an incremental and shardable walk.
 #ifndef PROVVIEW_PRIVACY_POSSIBLE_WORLDS_H_
 #define PROVVIEW_PRIVACY_POSSIBLE_WORLDS_H_
 
@@ -85,11 +91,10 @@ struct StandaloneWorlds {
 /// realize every achievable OUT value; see standalone_privacy.h.)
 /// Pruned + incremental + optionally parallel; aborts if the pruned space
 /// ∏_i |feasible_i| exceeds `opts.max_candidates`.
-StandaloneWorlds EnumerateStandaloneWorlds(const Relation& rel,
-                                           const std::vector<AttrId>& inputs,
-                                           const std::vector<AttrId>& outputs,
-                                           const Bitset64& visible,
-                                           const EnumerationOptions& opts);
+StandaloneWorlds EnumerateStandaloneWorlds(
+    const Relation& rel, const std::vector<AttrId>& inputs,
+    const std::vector<AttrId>& outputs, const Bitset64& visible,
+    const EnumerationOptions& opts = {});
 
 /// Core entry point: sources rows from any supplier (materialized table or
 /// module function), so the engine no longer requires an eagerly built
@@ -100,13 +105,6 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
                                            const std::vector<AttrId>& outputs,
                                            const Bitset64& visible,
                                            const EnumerationOptions& opts);
-
-/// Back-compat wrapper with the historical signature.
-StandaloneWorlds EnumerateStandaloneWorlds(const Relation& rel,
-                                           const std::vector<AttrId>& inputs,
-                                           const std::vector<AttrId>& outputs,
-                                           const Bitset64& visible,
-                                           int64_t max_candidates = 40000000);
 
 /// The original unpruned odometer over |Range|^N candidate functions.
 /// Exponentially slower than EnumerateStandaloneWorlds; kept as the
@@ -160,32 +158,22 @@ struct WorkflowWorlds {
 /// EngineConfig. Sharded enumeration splits the first walked slot's
 /// feasible codes into num_threads tasks on `executor` (or on a private one
 /// when null); results merge by commutative sums/unions, so the outcome is
-/// deterministic regardless of thread count. materialize_threshold does not
-/// apply here: the tables passed in decide it.
+/// deterministic regardless of thread count. Whether the execution log is
+/// materialized is decided by the tables passed in
+/// (WorkflowTablesOptions::materialize_threshold).
 struct WorkflowEnumerationOptions : EngineConfig {
   /// Abort if the (pruned) walked joint space exceeds this.
   int64_t max_candidates = 40000000;
-  /// When > 0, stop enumerating as soon as every tracked module input's OUT
-  /// set holds at least this many outputs. Counts become lower bounds and
-  /// `early_stopped` is set.
+  /// When > 0, stop enumerating as soon as every input of every free
+  /// private module has an OUT set of at least this many outputs (fixed
+  /// modules have singleton OUT sets and would never reach Γ > 1). Counts
+  /// become lower bounds and `early_stopped` is set.
   int64_t gamma = 0;
-  /// Modules whose OUT sets the Γ short-circuit tracks. Empty = every free
-  /// private module (fixed modules have singleton OUT sets and would never
-  /// reach Γ > 1).
-  std::vector<int> gamma_modules;
   /// Pruned spaces at or below this size always run sequentially.
   int64_t min_parallel_candidates = 4096;
   /// Maintain the distinct-relation set. The Γ-certification path only
   /// needs OUT sets and can turn this off (num_distinct_relations stays 0).
   bool collect_distinct_relations = true;
-  /// Run the feasible-set fixpoint (privacy/feasible_sets.h) before the
-  /// walk: determinedness then crosses forced free modules, candidate lists
-  /// shrink from per-attribute feasible sets (including hidden outputs
-  /// narrowed backward through fixed modules), and domain points of free
-  /// modules proven unreachable are factored instead of walked at full
-  /// range. Exact — identical results with the pass on or off; off
-  /// reproduces the determined-input-only engine for A/B benchmarking.
-  bool use_feasible_sets = true;
 };
 
 /// Immutable per-workflow tables shared by every enumeration over the same
@@ -248,29 +236,28 @@ struct WorkflowTables {
 /// num_threads also shards the streamed scan (each shard owns its own
 /// ExecutionSupplier over a contiguous execution range; per-shard
 /// aggregates merge deterministically), so the tables are identical at any
-/// thread count; materialize_threshold bounds the execution logs that keep
-/// per-execution arrays (required by world enumeration) — larger spaces
-/// stream the log and keep aggregates only; `control`'s memory budget is charged before
-/// the per-execution arrays allocate, a trip surfacing as
+/// thread count; `control`'s memory budget is charged before the
+/// per-execution arrays allocate, a trip surfacing as
 /// WorkflowTables::status instead of a PV_CHECK abort.
 struct WorkflowTablesOptions : EngineConfig {
   /// Hard budget on the initial-input product space (the execution count),
   /// materialized or streamed.
   int64_t max_executions = int64_t{1} << 22;
+  /// Execution logs of at most this many executions keep the per-execution
+  /// arrays world enumeration requires; larger spaces stream the log and
+  /// keep aggregates only.
+  int64_t materialize_threshold = int64_t{1} << 22;
   /// Executions per streamed chunk (the shard-sized unit of work).
   int64_t chunk_executions = int64_t{1} << 16;
 };
 
 /// Precomputes the shared tables, streaming the execution log from the
 /// initial-input odometer in chunk-sized blocks (one pass, optionally
-/// sharded over the task-graph executor).
+/// sharded over the task-graph executor). At the defaults the log is
+/// materialized (as world enumeration needs) up to 2^22 executions and
+/// larger initial-input spaces are refused.
 std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
-    const Workflow& workflow, const WorkflowTablesOptions& opts);
-
-/// Back-compat wrapper: materializes the log (as world enumeration needs)
-/// and refuses initial-input spaces beyond `max_executions`.
-std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
-    const Workflow& workflow, int64_t max_executions = 1 << 22);
+    const Workflow& workflow, const WorkflowTablesOptions& opts = {});
 
 /// Enumerates joint choices of total functions (g_1, ..., g_n) — keeping
 /// g_i = m_i for every module index in `fixed_modules` (Definition 4's
@@ -278,33 +265,29 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 /// the original provenance relation, and keeps the worlds whose visible
 /// projection matches. OUT sets are recorded for every module.
 ///
-/// This is the pruned engine: slots whose input is determined in every
-/// world (fed by initial inputs through fixed modules only) are pruned to
-/// the output codes consistent with the visible provenance view — fully
-/// visible outputs collapse to the forced codes, fully hidden ones keep the
-/// whole range — and determined slots reached by no execution are factored
-/// out of the walk entirely (they multiply num_function_choices without
-/// changing any relation). The covered-target multiset is maintained
-/// incrementally across odometer steps, the Γ short-circuit can stop the
-/// walk early, and the walk is sharded over the first walked slot's
-/// feasible codes on the task-graph executor. Byte-identical results to
-/// EnumerateWorkflowWorldsNaive on full runs.
+/// This is the pruned engine. The feasible-set fixpoint
+/// (privacy/feasible_sets.h) runs first: slots whose input is pinned in
+/// every world (fed by initial inputs through fixed or forced modules) are
+/// pruned to the output codes consistent with the visible provenance view
+/// and the per-attribute feasible sets — fully visible outputs collapse to
+/// the forced codes — and domain points reached by no execution, or proven
+/// unreachable in every consistent world, are factored out of the walk
+/// (they multiply num_function_choices without changing any relation). The
+/// covered-target multiset is maintained incrementally across odometer
+/// steps, the Γ short-circuit can stop the walk early, and the walk is
+/// sharded over the first walked slot's feasible codes on the task-graph
+/// executor. Byte-identical results to EnumerateWorkflowWorldsNaive on full
+/// runs.
 WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
                                        const Bitset64& visible,
                                        const std::vector<int>& fixed_modules,
                                        const WorkflowEnumerationOptions& opts);
 
 /// Convenience overload building the tables internally.
-WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
-                                       const Bitset64& visible,
-                                       const std::vector<int>& fixed_modules,
-                                       const WorkflowEnumerationOptions& opts);
-
-/// Back-compat wrapper with the historical signature.
-WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
-                                       const Bitset64& visible,
-                                       const std::vector<int>& fixed_modules,
-                                       int64_t max_candidates = 40000000);
+WorkflowWorlds EnumerateWorkflowWorlds(
+    const Workflow& workflow, const Bitset64& visible,
+    const std::vector<int>& fixed_modules,
+    const WorkflowEnumerationOptions& opts = {});
 
 /// The original joint odometer over the unpruned ∏ |Range_i|^{|Dom_i|}
 /// space. Exponentially slower than EnumerateWorkflowWorlds; kept as the

@@ -64,15 +64,6 @@ std::pair<int64_t, int64_t> TaskRange(int64_t total, int tasks, int index) {
   return {begin, end};
 }
 
-// The explicit materialize_threshold parameter of the Module convenience
-// overloads wins when the caller moved it off the default; otherwise the
-// EngineConfig field applies.
-int64_t ResolveThreshold(int64_t param, const SubsetSearchOptions& opts) {
-  return param != Module::kDefaultMaterializeRows
-             ? param
-             : opts.materialize_threshold;
-}
-
 }  // namespace
 
 std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
@@ -238,15 +229,6 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
   return minimal;
 }
 
-std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
-                                            const std::vector<AttrId>& inputs,
-                                            const std::vector<AttrId>& outputs,
-                                            int universe, int64_t gamma,
-                                            SafeSearchStats* stats) {
-  return MinimalSafeHiddenSets(memo, inputs, outputs, universe, gamma, stats,
-                               SubsetSearchOptions{});
-}
-
 std::vector<Bitset64> MinimalSafeHiddenSets(const Relation& rel,
                                             const std::vector<AttrId>& inputs,
                                             const std::vector<AttrId>& outputs,
@@ -276,10 +258,9 @@ MinCostSafeResult MinCostSafeHiddenSet(const Relation& rel,
 std::vector<Bitset64> MinimalSafeHiddenSets(const Module& module,
                                             int64_t gamma,
                                             SafeSearchStats* stats,
-                                            int64_t materialize_threshold,
                                             const SubsetSearchOptions& opts) {
   SafeSearchStats local_stats;
-  SafetyMemo memo(module, ResolveThreshold(materialize_threshold, opts));
+  SafetyMemo memo(module, opts.materialize_threshold);
   std::vector<Bitset64> minimal =
       MinimalSafeHiddenSets(&memo, module.inputs(), module.outputs(),
                             module.catalog()->size(), gamma, &local_stats,
@@ -289,10 +270,9 @@ std::vector<Bitset64> MinimalSafeHiddenSets(const Module& module,
 }
 
 MinCostSafeResult MinCostSafeHiddenSet(const Module& module, int64_t gamma,
-                                       int64_t materialize_threshold,
                                        const SubsetSearchOptions& opts) {
   MinCostSafeResult result;
-  SafetyMemo memo(module, ResolveThreshold(materialize_threshold, opts));
+  SafetyMemo memo(module, opts.materialize_threshold);
   std::vector<Bitset64> minimal =
       MinimalSafeHiddenSets(&memo, module.inputs(), module.outputs(),
                             module.catalog()->size(), gamma, &result.stats,
@@ -449,16 +429,8 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
 }
 
 std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
-    SafetyMemo* memo, const std::vector<AttrId>& inputs,
-    const std::vector<AttrId>& outputs, int universe, int64_t gamma) {
-  return MinimalSafeCardinalityPairs(memo, inputs, outputs, universe, gamma,
-                                     SubsetSearchOptions{});
-}
-
-std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
-    const Module& module, int64_t gamma, int64_t materialize_threshold,
-    const SubsetSearchOptions& opts) {
-  SafetyMemo memo(module, ResolveThreshold(materialize_threshold, opts));
+    const Module& module, int64_t gamma, const SubsetSearchOptions& opts) {
+  SafetyMemo memo(module, opts.materialize_threshold);
   return MinimalSafeCardinalityPairs(&memo, module.inputs(), module.outputs(),
                                      module.catalog()->size(), gamma, opts);
 }

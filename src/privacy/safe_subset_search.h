@@ -22,8 +22,7 @@ namespace provview {
 class TaskGraphExecutor;
 
 /// Knobs of the subset-lattice searches. The shared execution knobs
-/// (num_threads, executor, control, materialize_threshold) come from the
-/// embedded EngineConfig.
+/// (num_threads, executor, control) come from the embedded EngineConfig.
 ///
 /// The lattice walk is level-synchronous: subsets of one cardinality are
 /// pairwise incomparable, so a level can shard across tasks (contiguous
@@ -51,6 +50,12 @@ struct SubsetSearchOptions : EngineConfig {
   /// Levels with at most this many subsets always run inline (the task /
   /// memo-overlay overhead would dominate).
   int64_t min_parallel_subsets = 4096;
+  /// Module overloads only: module domains of at most this many rows use
+  /// the materialized relation fast path; larger domains stream rows from
+  /// the module's function on every checker pass, so the searches work past
+  /// the 2^22 materialization wall (subject to the k <= 24 subset-space
+  /// limit).
+  int64_t materialize_threshold = Module::kDefaultMaterializeRows;
 };
 
 /// Largest k = |I| + |O| the lattice searches accept. 2^24 subsets is the
@@ -78,21 +83,15 @@ std::vector<Bitset64> MinimalSafeHiddenSets(const Relation& rel,
 
 /// As above, but reusing a caller-owned SafetyMemo (for the module of
 /// `memo`), so repeated searches — different Γ values, batch drivers —
-/// share one verdict cache. Accumulates into `stats` instead of resetting.
-std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
-                                            const std::vector<AttrId>& inputs,
-                                            const std::vector<AttrId>& outputs,
-                                            int universe, int64_t gamma,
-                                            SafeSearchStats* stats);
-
-/// Full-control overload: sharded level-parallel walk over a caller-owned
-/// memo.
+/// share one verdict cache, optionally as the sharded level-parallel walk.
+/// Accumulates into `stats` instead of resetting.
 std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
                                             const std::vector<AttrId>& inputs,
                                             const std::vector<AttrId>& outputs,
                                             int universe, int64_t gamma,
                                             SafeSearchStats* stats,
-                                            const SubsetSearchOptions& opts);
+                                            const SubsetSearchOptions& opts =
+                                                {});
 
 /// Minimum-cost safe hidden subset using catalog attribute costs. With
 /// non-negative costs the optimum is attained at a minimal safe subset.
@@ -101,21 +100,13 @@ MinCostSafeResult MinCostSafeHiddenSet(const Relation& rel,
                                        const std::vector<AttrId>& outputs,
                                        int64_t gamma);
 
-/// Convenience overloads over the module relation. Domains of at most
-/// `materialize_threshold` rows use the materialized fast path; larger
-/// domains stream rows from the module's function on every checker pass, so
-/// the searches work past the 2^22 materialization wall (subject to the
-/// k <= 24 subset-space limit). The explicit parameter wins when it differs
-/// from the default; otherwise opts.materialize_threshold (the EngineConfig
-/// field) applies, so a single config can carry the knob.
+/// Convenience overloads over the module relation; the materialized or
+/// streamed row source follows opts.materialize_threshold.
 std::vector<Bitset64> MinimalSafeHiddenSets(
     const Module& module, int64_t gamma, SafeSearchStats* stats = nullptr,
-    int64_t materialize_threshold = Module::kDefaultMaterializeRows,
     const SubsetSearchOptions& opts = {});
-MinCostSafeResult MinCostSafeHiddenSet(
-    const Module& module, int64_t gamma,
-    int64_t materialize_threshold = Module::kDefaultMaterializeRows,
-    const SubsetSearchOptions& opts = {});
+MinCostSafeResult MinCostSafeHiddenSet(const Module& module, int64_t gamma,
+                                       const SubsetSearchOptions& opts = {});
 
 /// A cardinality requirement pair (α, β): hiding ANY α inputs and β outputs
 /// of the module is safe (§4.2, cardinality constraints).
@@ -138,24 +129,19 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
     const std::vector<AttrId>& outputs, int64_t gamma);
 
 /// As above over a caller-owned memo (any row backend, shared verdict
-/// cache).
-std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
-    SafetyMemo* memo, const std::vector<AttrId>& inputs,
-    const std::vector<AttrId>& outputs, int universe, int64_t gamma);
-
-/// Full-control overload: the (α, β) grid cells are independent given the
-/// memo, so cells shard across executor tasks (each cell ANDs its subset
-/// family with an early break, exactly the verdict the sequential
-/// evaluation computes). Accumulates into `stats` when non-null.
+/// cache). The (α, β) grid cells are independent given the memo, so cells
+/// shard across executor tasks (each cell ANDs its subset family with an
+/// early break, exactly the verdict the sequential evaluation computes).
+/// Accumulates into `stats` when non-null.
 std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
     SafetyMemo* memo, const std::vector<AttrId>& inputs,
     const std::vector<AttrId>& outputs, int universe, int64_t gamma,
-    const SubsetSearchOptions& opts, SafeSearchStats* stats = nullptr);
+    const SubsetSearchOptions& opts = {}, SafeSearchStats* stats = nullptr);
 
+/// Over the module relation; the row source follows
+/// opts.materialize_threshold.
 std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
-    const Module& module, int64_t gamma,
-    int64_t materialize_threshold = Module::kDefaultMaterializeRows,
-    const SubsetSearchOptions& opts = {});
+    const Module& module, int64_t gamma, const SubsetSearchOptions& opts = {});
 
 }  // namespace provview
 

@@ -21,6 +21,10 @@ namespace {
 // ceiling uses the exact allocator-measured counter.
 constexpr int64_t kInsertOverheadEstimate = 96;
 
+// Fraction of a shard's budget the protected segment may occupy before
+// promotions demote its LRU tail back to probation.
+constexpr double kProtectedFraction = 0.8;
+
 // splitmix64 finalizer over an FNV-1a accumulation: cheap, well-mixed
 // shard + bucket hashing for short binary keys.
 uint64_t HashBytes(std::string_view bytes) {
@@ -90,6 +94,14 @@ struct KeyHash {
   }
 };
 
+// The 4-byte little-endian namespace prefix every full key starts with.
+void EncodeNamespace(uint32_t ns, char* out) {
+  out[0] = static_cast<char>(ns & 0xFF);
+  out[1] = static_cast<char>((ns >> 8) & 0xFF);
+  out[2] = static_cast<char>((ns >> 16) & 0xFF);
+  out[3] = static_cast<char>((ns >> 24) & 0xFF);
+}
+
 // Stack-first buffer for the serialized [ns | class | key] lookup key;
 // verdict keys are tens of bytes, so lookups never touch the heap.
 class SmallKey {
@@ -101,10 +113,7 @@ class SmallKey {
       overflow_.resize(total);
       out = overflow_.data();
     }
-    out[0] = static_cast<char>(ns & 0xFF);
-    out[1] = static_cast<char>((ns >> 8) & 0xFF);
-    out[2] = static_cast<char>((ns >> 16) & 0xFF);
-    out[3] = static_cast<char>((ns >> 24) & 0xFF);
+    EncodeNamespace(ns, out);
     out[4] = static_cast<char>(klass);
     std::memcpy(out + kPrefix, key.data(), key.size());
     view_ = std::string_view(out, total);
@@ -198,17 +207,48 @@ struct VerdictCache::Shard {
     }
   }
 
-  void EvictOne() {
-    EntryList* from = !probation.empty() ? &probation : &protected_seg;
-    EntryList::iterator victim = std::prev(from->end());
+  // Removes one entry with its byte and tally accounting; returns the
+  // next position in `from`.
+  EntryList::iterator Erase(EntryList* from, EntryList::iterator victim) {
     ClassTally& t = TallyFor(victim->klass);
-    ++t.evictions;
     t.bytes -= victim->charged;
     --t.entries;
     (victim->in_protected ? protected_bytes : probation_bytes) -=
         victim->charged;
     index.erase(std::string_view(victim->key.data(), victim->key.size()));
-    from->erase(victim);
+    return from->erase(victim);
+  }
+
+  void EvictOne() {
+    EntryList* from = !probation.empty() ? &probation : &protected_seg;
+    EntryList::iterator victim = std::prev(from->end());
+    ++TallyFor(victim->klass).evictions;
+    Erase(from, victim);
+  }
+
+  // Erases every entry whose full key starts with `prefix` (a namespace).
+  // Erasing map nodes does not shrink the bucket array, so shrink it when
+  // occupancy drops far below capacity, and swap in a fresh map when the
+  // shard drains entirely.
+  void EraseNamespace(std::string_view prefix) {
+    for (EntryList* list : {&probation, &protected_seg}) {
+      for (auto it = list->begin(); it != list->end();) {
+        if (std::string_view(it->key.data(), it->key.size())
+                .starts_with(prefix)) {
+          it = Erase(list, it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    if (index.empty()) {
+      IndexMap fresh(0, KeyHash{}, std::equal_to<std::string_view>{},
+                     index.get_allocator());
+      index.swap(fresh);
+    } else if (index.bucket_count() > 64 &&
+               index.size() * 4 < index.bucket_count()) {
+      index.rehash(index.size() * 2);
+    }
   }
 
   // Enforce the per-shard budget on the measured counter. Erasing map
@@ -242,13 +282,11 @@ VerdictCache::VerdictCache(const VerdictCacheConfig& config)
   shard_budget_ = config_.byte_budget == std::numeric_limits<int64_t>::max()
                       ? config_.byte_budget
                       : config_.byte_budget / config_.num_shards;
-  const double fraction =
-      std::min(1.0, std::max(0.0, config_.protected_fraction));
   protected_budget_ =
       shard_budget_ == std::numeric_limits<int64_t>::max()
           ? shard_budget_
           : static_cast<int64_t>(static_cast<double>(shard_budget_) *
-                                 fraction);
+                                 kProtectedFraction);
 }
 
 VerdictCache::~VerdictCache() = default;
@@ -263,7 +301,22 @@ VerdictCache::Shard* VerdictCache::ShardFor(std::string_view full_key) const {
 uint32_t VerdictCache::RegisterNamespace(std::string label) {
   std::lock_guard<std::mutex> g(ns_mu_);
   namespace_labels_.push_back(std::move(label));
+  namespace_dropped_.push_back(false);
   return static_cast<uint32_t>(namespace_labels_.size() - 1);
+}
+
+void VerdictCache::DropNamespace(uint32_t ns) {
+  {
+    std::lock_guard<std::mutex> g(ns_mu_);
+    if (ns >= namespace_dropped_.size() || namespace_dropped_[ns]) return;
+    namespace_dropped_[ns] = true;
+  }
+  char prefix[4];
+  EncodeNamespace(ns, prefix);
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::lock_guard<std::mutex> g(shard->mu);
+    shard->EraseNamespace(std::string_view(prefix, sizeof(prefix)));
+  }
 }
 
 bool VerdictCache::Lookup(uint32_t ns, VerdictKeyClass klass,
@@ -346,7 +399,8 @@ VerdictCacheStats VerdictCache::Stats() const {
   }
   {
     std::lock_guard<std::mutex> g(ns_mu_);
-    out.namespaces = namespace_labels_.size();
+    out.namespaces = static_cast<uint64_t>(std::count(
+        namespace_dropped_.begin(), namespace_dropped_.end(), false));
   }
   return out;
 }

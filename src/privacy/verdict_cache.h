@@ -25,6 +25,7 @@
 // Namespaces partition the key space: each (workflow, private module)
 // binds one namespace id, so one cache instance serves a whole daemon
 // without cross-module collisions and STAT can report a namespace count.
+// Dropping a namespace (a workflow leaving the daemon) frees its entries.
 #ifndef PROVVIEW_PRIVACY_VERDICT_CACHE_H_
 #define PROVVIEW_PRIVACY_VERDICT_CACHE_H_
 
@@ -55,9 +56,6 @@ struct VerdictCacheConfig {
   /// Lock stripes / LRU segments; rounded up to a power of two. More
   /// shards = less contention but coarser per-shard budgets.
   int num_shards = 16;
-  /// Fraction of a shard's budget the protected segment may occupy before
-  /// promotions demote its LRU tail back to probation.
-  double protected_fraction = 0.8;
 };
 
 /// Counters behind STAT's cache section. Hit/miss/insert/eviction tallies
@@ -76,7 +74,7 @@ struct VerdictCacheStats {
   int64_t bytes_in_use = 0;  ///< all measured bytes (entries + index)
   int64_t peak_bytes = 0;    ///< sum of per-shard measured peaks
   int64_t byte_budget = 0;
-  uint64_t namespaces = 0;
+  uint64_t namespaces = 0;  ///< registered and not dropped
 };
 
 /// Thread-safe sharded verdict store. Keys are opaque byte strings
@@ -93,6 +91,13 @@ class VerdictCache {
   /// Reserves a fresh key-space partition (e.g. one per private module of
   /// a registered workflow). `label` is diagnostic only.
   uint32_t RegisterNamespace(std::string label);
+
+  /// Erases every entry of namespace `ns` from every shard, releasing its
+  /// measured bytes and per-class entry tallies (not counted as evictions),
+  /// and stops counting it as live. Ids are never reused; the caller must
+  /// not look up or insert under `ns` afterwards. Dropping twice is a
+  /// no-op.
+  void DropNamespace(uint32_t ns);
 
   /// True on a hit (LRU-promoting); bumps the per-class hit/miss counter.
   bool Lookup(uint32_t ns, VerdictKeyClass klass, std::string_view key,
@@ -127,6 +132,7 @@ class VerdictCache {
 
   mutable std::mutex ns_mu_;
   std::vector<std::string> namespace_labels_;
+  std::vector<bool> namespace_dropped_;  // aligned with the labels
 };
 
 }  // namespace provview

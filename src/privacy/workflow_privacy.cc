@@ -73,10 +73,15 @@ WorkflowCacheNamespace::WorkflowCacheNamespace(
   for (int m_index : workflow.PrivateModuleIndices()) {
     const uint32_t ns =
         cache_->RegisterNamespace(label + "/m" + std::to_string(m_index));
+    namespaces_.push_back(ns);
     memos_.push_back(std::make_unique<SafetyMemo>(
         workflow.module(m_index), Module::kDefaultMaterializeRows, cache_,
         ns));
   }
+}
+
+void WorkflowCacheNamespace::DropFromCache() {
+  for (uint32_t ns : namespaces_) cache_->DropNamespace(ns);
 }
 
 WorkflowBatchResult CertifyWorkflowBatch(
@@ -274,8 +279,10 @@ int64_t GroundTruthWorkflowGamma(const Workflow& workflow,
     PV_CHECK_MSG(workflow.module(i).is_public(),
                  "module " << i << " is not public");
   }
+  WorkflowEnumerationOptions opts;
+  opts.max_candidates = max_candidates;
   WorkflowWorlds worlds = EnumerateWorkflowWorlds(
-      workflow, hidden.Complement(), visible_public_modules, max_candidates);
+      workflow, hidden.Complement(), visible_public_modules, opts);
   int64_t min_gamma = std::numeric_limits<int64_t>::max();
   for (int i : workflow.PrivateModuleIndices()) {
     min_gamma = std::min(min_gamma, worlds.MinOutSize(i));

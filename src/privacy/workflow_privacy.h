@@ -128,7 +128,9 @@ struct WorkflowBatchResult {
 /// settled verdicts without per-module mutexes, and a byte-budgeted shared
 /// cache bounds the daemon's verdict memory (its eviction only forgets
 /// verdicts, never corrupts them). Pass no cache for a private unbounded
-/// one — the historical single-owner behavior.
+/// one — the historical single-owner behavior. The namespaces outlive this
+/// object unless DropFromCache() is called (the daemon's registry does so
+/// when an unregistered workflow's last request finishes).
 class WorkflowCacheNamespace {
  public:
   /// Binds one namespace per private module of `workflow` in `cache`
@@ -144,9 +146,14 @@ class WorkflowCacheNamespace {
   SafetyMemo* memo(size_t mi) { return memos_[mi].get(); }
   const std::shared_ptr<VerdictCache>& cache() const { return cache_; }
 
+  /// Drops every namespace bound here from the cache, erasing their
+  /// verdicts. The memos must not be used afterwards.
+  void DropFromCache();
+
  private:
   const Workflow* workflow_;
   std::shared_ptr<VerdictCache> cache_;
+  std::vector<uint32_t> namespaces_;  ///< aligned with memos_
   std::vector<std::unique_ptr<SafetyMemo>> memos_;
 };
 

@@ -36,10 +36,9 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
 /// As above, but kSet derivations run on caller-provided SafetyMemos
 /// (indexed by module; entries for public modules may be null). Passing
 /// memos bound to a shared VerdictCache (see SafetyMemo's cache-namespace
-/// constructor) makes the derivation verdicts persist past this call —
-/// SolveExactForWorkflow reuses the same memos for its B&B safety oracle,
-/// so node fathoming and derivation settle into one store. A null entry
-/// for a private module falls back to a private per-derivation memo.
+/// constructor) makes the derivation verdicts persist past this call (in
+/// those memos' namespaces). A null entry for a private module falls back
+/// to a private per-derivation memo.
 SecureViewInstance InstanceFromWorkflow(
     const Workflow& workflow, const std::vector<int64_t>& gammas,
     ConstraintKind kind,

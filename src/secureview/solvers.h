@@ -50,7 +50,7 @@ struct ExactOptions {
   int warm_rounding_trials = 3;
   /// Install the combinatorial fathoming oracle (bnb_oracle.h) so safe /
   /// doomed subtrees close without simplex work. Ignored when bnb.oracle is
-  /// already set by the caller (e.g. the memo-backed workflow variant).
+  /// already set by the caller.
   bool oracle = true;
   /// Attributes pinned visible (x_a := 0) before the search — sound when
   /// hiding them can never help (they appear in no requirement option;

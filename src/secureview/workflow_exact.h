@@ -5,14 +5,13 @@
 //            --(useless-attr fixing, warm start, safety oracle)--> SolveExact
 //            --(Theorem 4/8 certification)--> verified SvResult
 //
-// The same per-module SafetyMemos serve the requirement-list derivation and
-// (memo_oracle mode) the B&B node oracle, all settling into one shared
-// VerdictCache — verdicts computed while deriving the instance fathom
-// search nodes later, and persist across calls when the caller passes a
-// long-lived cache (the podsd model). AnalyzeFeasibleSets optionally runs
-// as corroboration on small execution spaces: attributes it proves
-// log-constant are reported (they should all already be fixed by the
-// requirement-list rule, which is the soundness anchor).
+// The requirement lists are derived through one SafetyMemo per private
+// module, each bound to its own namespace of one VerdictCache (the
+// caller's, or a private one). The B&B node oracle then answers module
+// satisfaction from those lists — the memo's minimal-safe-set antichain —
+// without going back to the cache. Every attribute no requirement option
+// uses is pinned visible before the search, and the winner is certified
+// Γ-private through the Theorem 4/8 sufficient condition.
 #ifndef PROVVIEW_SECUREVIEW_WORKFLOW_EXACT_H_
 #define PROVVIEW_SECUREVIEW_WORKFLOW_EXACT_H_
 
@@ -35,32 +34,15 @@ struct WorkflowExactOptions {
   /// Shared verdict store; one namespace per private module is registered.
   /// Null = a private unbounded cache owned by this call.
   std::shared_ptr<VerdictCache> cache;
-  /// kSet only: answer oracle satisfaction checks through
-  /// SafetyMemo::IsSafe (the shared cache) instead of the requirement
-  /// lists. Same verdicts either way — the lists are the memo's minimal
-  /// antichain — so this trades list scans for cache traffic.
-  bool memo_oracle = false;
-  /// Pin visible every attribute no requirement option uses (sound: hiding
-  /// one can only add cost).
-  bool fix_useless_attrs = true;
-  /// Run AnalyzeFeasibleSets as a cross-check when the execution space
-  /// fits; purely diagnostic (see analysis_constant_attrs).
-  bool analyze_feasible_sets = false;
-  int64_t analysis_max_executions = int64_t{1} << 18;
-  /// Certify the winning solution via the Theorem 4/8 sufficient condition.
-  bool verify_semantics = true;
 };
 
 struct WorkflowExactResult {
   SvResult result;
   /// The derived instance (reusable for approximation-ratio comparisons).
   SecureViewInstance instance;
-  /// Attributes pinned visible before the search.
+  /// Attributes pinned visible before the search: those no requirement
+  /// option uses (sound: hiding one can only add cost).
   std::vector<int> fixed_attrs;
-  /// Attributes AnalyzeFeasibleSets proved constant across every
-  /// consistent world (singleton feasible set); -1 when the analysis was
-  /// skipped (disabled, streamed log, or space too large).
-  int analysis_constant_attrs = -1;
   /// True when the solution was certified Γ-private (Theorem 4/8).
   bool semantics_verified = false;
 };

@@ -8,6 +8,10 @@
 
 namespace provview {
 
+RegisteredWorkflow::~RegisteredWorkflow() {
+  if (verdicts != nullptr) verdicts->DropFromCache();
+}
+
 WorkflowRegistry::WorkflowRegistry()
     : cache_(std::make_shared<VerdictCache>()) {}
 

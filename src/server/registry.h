@@ -14,7 +14,10 @@
 // shared_ptr — a request certifying against a workflow keeps its entry
 // alive even if a concurrent UNREGISTER drops it from the map mid-flight.
 // The cache itself is striped-locked and safe for concurrent
-// certifications.
+// certifications. An entry's cache namespaces are dropped when the entry is
+// destroyed — after UNREGISTER (or a replacing Register) removed it from
+// the map AND the last in-flight request released it — so unregistering
+// returns the workflow's verdict memory.
 #ifndef PROVVIEW_SERVER_REGISTRY_H_
 #define PROVVIEW_SERVER_REGISTRY_H_
 
@@ -31,8 +34,10 @@
 namespace provview {
 
 /// One served workflow: ownership bundle + its namespaces in the shared
-/// verdict cache.
+/// verdict cache, which its destructor drops.
 struct RegisteredWorkflow {
+  ~RegisteredWorkflow();
+
   std::string name;
   CatalogPtr catalog;      ///< keeps the workflow's catalog alive
   WorkflowPtr workflow;

@@ -1,7 +1,10 @@
 // Unit tests of the feasible-set fixpoint (privacy/feasible_sets.h): pinned
 // propagation through forced free modules, backward narrowing through fixed
 // modules, unreachable-domain-point factoring, the termination bound, and
-// the exactness of the enumeration that consumes the result.
+// the exactness of the enumeration that consumes the result — against the
+// naive enumerator where its joint space is at most 2^16, against golden
+// values otherwise. The walked-state bounds are the states the enumerator
+// walked before the fixpoint existed (determined-input pruning only).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +14,7 @@
 #include "module/module_library.h"
 #include "privacy/feasible_sets.h"
 #include "privacy/possible_worlds.h"
+#include "world_render.h"
 
 namespace provview {
 namespace {
@@ -25,10 +29,10 @@ void ExpectIdenticalWorlds(const WorkflowWorlds& a, const WorkflowWorlds& b) {
 }
 
 WorkflowWorlds Enumerate(const WorkflowTables& tables, const Bitset64& visible,
-                         const std::vector<int>& fixed, bool use_fixpoint) {
+                         const std::vector<int>& fixed, int threads = 1) {
   WorkflowEnumerationOptions opts;
   opts.max_candidates = int64_t{1} << 33;
-  opts.use_feasible_sets = use_fixpoint;
+  opts.num_threads = threads;
   return EnumerateWorkflowWorlds(tables, visible, fixed, opts);
 }
 
@@ -64,11 +68,21 @@ TEST(FeasibleSetsTest, ForcedPropagationCrossesVisibleFreeStages) {
   // Termination bound from the header: depth + 2 sweeps.
   EXPECT_LE(a.iterations, chain.workflow->Depth() + 2);
 
-  // The enumeration consuming the analysis is exact.
-  WorkflowWorlds on = Enumerate(*tables, visible, {}, true);
-  WorkflowWorlds off = Enumerate(*tables, visible, {}, false);
-  ExpectIdenticalWorlds(on, off);
-  EXPECT_LT(on.pruned_candidates, off.pruned_candidates);
+  // The enumeration consuming the analysis is exact (naive joint 2^32:
+  // golden values) at every thread count, and walks fewer states than the
+  // 2^24 of determined-input pruning.
+  for (int threads : {1, 2, 8}) {
+    WorkflowWorlds on = Enumerate(*tables, visible, {}, threads);
+    EXPECT_EQ(on.num_function_choices, 24) << "threads " << threads;
+    EXPECT_EQ(on.num_distinct_relations, 24) << "threads " << threads;
+    EXPECT_EQ(
+        RenderOutSets(on),
+        "m0{00:11;01:00;10:01;11:10;}m1{00:00;01:11;10:01;11:10;}"
+        "m2{00:00,01,10,11;01:00,01,10,11;10:00,01,10,11;11:00,01,10,11;}"
+        "m3{00:00,01,10,11;01:00,01,10,11;10:00,01,10,11;11:00,01,10,11;}")
+        << "threads " << threads;
+    EXPECT_LT(on.pruned_candidates, int64_t{1} << 24);
+  }
 }
 
 TEST(FeasibleSetsTest, BackwardNarrowingThroughFixedModuleForcesHiddenStage) {
@@ -101,13 +115,13 @@ TEST(FeasibleSetsTest, BackwardNarrowingThroughFixedModuleForcesHiddenStage) {
   EXPECT_TRUE(a.forced[0]);
   EXPECT_LE(a.iterations, wf.Depth() + 2);
 
-  WorkflowWorlds on = Enumerate(*tables, visible, {1}, true);
-  WorkflowWorlds off = Enumerate(*tables, visible, {1}, false);
-  ExpectIdenticalWorlds(on, off);
-  // The fixpoint collapses the walk to the single consistent world; the
-  // determined-input engine still walks the hidden stage at full range.
+  WorkflowWorlds naive = EnumerateWorkflowWorldsNaive(wf, visible, {1});
+  WorkflowWorlds on = Enumerate(*tables, visible, {1});
+  ExpectIdenticalWorlds(naive, on);
+  // The fixpoint collapses the walk to the single consistent world;
+  // determined-input pruning alone walked the hidden stage at full range
+  // (256 states).
   EXPECT_EQ(on.pruned_candidates, 1);
-  EXPECT_GT(off.pruned_candidates, 1);
 }
 
 TEST(FeasibleSetsTest, UnreachableDomainPointsOfFreeModulesAreFactored) {
@@ -150,14 +164,13 @@ TEST(FeasibleSetsTest, UnreachableDomainPointsOfFreeModulesAreFactored) {
     EXPECT_EQ(a.factored_free_slots, 2);  // the (t0 = !t0_const, *) points
     ASSERT_EQ(a.feasible_in_codes[1].size(), 2u);
 
-    // Exact against the naive reference and the base engine, sequentially
-    // and with the walk sharded across a forced pool.
+    // Exact against the naive reference, sequentially and with the walk
+    // sharded across a forced pool; fewer walked states than the 256 of
+    // determined-input pruning.
     WorkflowWorlds naive = EnumerateWorkflowWorldsNaive(wf, visible, {});
-    WorkflowWorlds on = Enumerate(*tables, visible, {}, true);
-    WorkflowWorlds off = Enumerate(*tables, visible, {}, false);
+    WorkflowWorlds on = Enumerate(*tables, visible, {});
     ExpectIdenticalWorlds(naive, on);
-    ExpectIdenticalWorlds(naive, off);
-    EXPECT_LT(on.pruned_candidates, off.pruned_candidates);
+    EXPECT_LT(on.pruned_candidates, 256);
 
     WorkflowEnumerationOptions parallel;
     parallel.max_candidates = int64_t{1} << 33;
@@ -166,6 +179,53 @@ TEST(FeasibleSetsTest, UnreachableDomainPointsOfFreeModulesAreFactored) {
     WorkflowWorlds sharded =
         EnumerateWorkflowWorlds(*tables, visible, {}, parallel);
     ExpectIdenticalWorlds(naive, sharded);
+  }
+}
+
+TEST(FeasibleSetsTest, E1fShapesWalkedStatePin) {
+  // E1f's two deep shapes, built exactly as bench_possible_worlds builds
+  // them (one Rng(612) stream: the chain first, then the diamond). The
+  // fixpoint must keep each walk within 2^16 joint states (determined-input
+  // pruning alone walked 2^24 and 2^20) and reproduce the golden counts and
+  // OUT sets at every thread count.
+  Rng rng(612);
+  OneOneChain chain = MakeOneOneChain(4, 2, &rng);
+  DiamondWorkflow dia = MakeDiamondWorkflow(1, /*with_tail=*/true, &rng);
+  Bitset64 chain_hidden(chain.catalog->size());
+  for (AttrId id : chain.layer_attrs[3]) chain_hidden.Set(id);
+  Bitset64 dia_hidden(dia.catalog->size());
+  for (AttrId id : dia.y) dia_hidden.Set(id);
+  struct Shape {
+    const char* label;
+    const Workflow* workflow;
+    Bitset64 visible;
+    const char* out_sets;
+  };
+  const Shape shapes[] = {
+      {"chain 4-stage k=2, hide layer 3", chain.workflow.get(),
+       chain_hidden.Complement(),
+       "m0{00:10;01:01;10:11;11:00;}m1{00:00;01:01;10:11;11:10;}"
+       "m2{00:00,01,10,11;01:00,01,10,11;10:00,01,10,11;11:00,01,10,11;}"
+       "m3{00:00,01,10,11;01:00,01,10,11;10:00,01,10,11;11:00,01,10,11;}"},
+      {"diamond k=1 + tail, hide sink out", dia.workflow.get(),
+       dia_hidden.Complement(),
+       "m0{00:01;01:00;10:11;11:10;}m1{0:1;1:0;}m2{0:1;1:0;}"
+       "m3{00:00,01,10,11;01:00,01,10,11;10:00,01,10,11;11:00,01,10,11;}"
+       "m4{00:00,01,10,11;01:00,01,10,11;10:00,01,10,11;11:00,01,10,11;}"},
+  };
+  for (const Shape& shape : shapes) {
+    auto tables = BuildWorkflowTables(*shape.workflow);
+    for (int threads : {1, 2, 8}) {
+      WorkflowWorlds w = Enumerate(*tables, shape.visible, {}, threads);
+      EXPECT_LE(w.pruned_candidates, 65536)
+          << shape.label << " threads " << threads;
+      EXPECT_EQ(w.num_function_choices, 24)
+          << shape.label << " threads " << threads;
+      EXPECT_EQ(w.num_distinct_relations, 24)
+          << shape.label << " threads " << threads;
+      EXPECT_EQ(RenderOutSets(w), shape.out_sets)
+          << shape.label << " threads " << threads;
+    }
   }
 }
 

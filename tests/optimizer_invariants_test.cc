@@ -274,8 +274,7 @@ TEST(DeadlineTest, DoomedDeadlineStillReturnsFeasibleIncumbent) {
 
 // ---------------------------------------------------------------------
 // Workflow-level stack: shared-memo derivation + useless-attr fixing +
-// certification, in both oracle modes, equals brute force on the derived
-// instance.
+// certification equals brute force on the derived instance.
 // ---------------------------------------------------------------------
 class WorkflowStackTest : public ::testing::TestWithParam<int> {};
 
@@ -299,16 +298,6 @@ TEST_P(WorkflowStackTest, FullStackMatchesBruteForceAndCertifies) {
   for (int a : full.fixed_attrs) {
     EXPECT_FALSE(full.result.solution.hidden.Test(a));
   }
-
-  // The memo-backed oracle answers through the shared verdict cache and
-  // must land on the same optimum.
-  WorkflowExactOptions memo_opt;
-  memo_opt.exact.oracle = false;
-  memo_opt.memo_oracle = true;
-  WorkflowExactResult memo = SolveExactForWorkflow(*gen.workflow, memo_opt);
-  ASSERT_TRUE(memo.result.status.ok());
-  EXPECT_NEAR(memo.result.cost, full.result.cost, 1e-6);
-  EXPECT_TRUE(memo.semantics_verified);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkflowStackTest, ::testing::Range(0, 4));

@@ -547,5 +547,58 @@ TEST(PodsdE2eTest, UnregisterDropsWorkflowAndSurvivesInFlightUse) {
   daemon.Stop();
 }
 
+TEST(PodsdE2eTest, UnregisterReturnsTheWorkflowsCacheNamespaces) {
+  // REGISTER -> CERTIFY -> UNREGISTER must leave the shared verdict cache
+  // as it found it: the workflow's namespaces stop counting and their
+  // entries are erased (not evicted).
+  WorkflowRegistry registry;
+  registry.RegisterBuiltins();
+  PodsDaemon daemon(&registry);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  Fig1Workflow fig1 = MakeFig1Workflow();
+  const int attrs[] = {fig1.a3, fig1.a4, fig1.a5, fig1.a6, fig1.a7};
+  std::string bytes;
+  ASSERT_TRUE(SerializeWorkflowBinary(*fig1.workflow, &bytes).ok());
+
+  PodsClient client;
+  ASSERT_TRUE(client.Connect(daemon.port()).ok());
+  const auto stat = [&](const std::string& key) {
+    StatSnapshot stats;
+    EXPECT_TRUE(client.Stat(&stats).ok());
+    for (const auto& [k, v] : stats) {
+      if (k == key) return v;
+    }
+    ADD_FAILURE() << "STAT has no " << key;
+    return uint64_t{0};
+  };
+  const char* kKeys[] = {"verdict_cache_namespaces",
+                         "verdict_cache_signature_entries",
+                         "verdict_cache_projection_entries",
+                         "verdict_cache_signature_evictions",
+                         "verdict_cache_projection_evictions"};
+  std::vector<uint64_t> before;
+  for (const char* key : kKeys) before.push_back(stat(key));
+
+  ASSERT_TRUE(client.Register("ephemeral", bytes).ok());
+  EXPECT_EQ(stat("verdict_cache_namespaces"),
+            before[0] + fig1.workflow->PrivateModuleIndices().size());
+  CertifyRequest req;
+  req.workflow = "ephemeral";
+  for (uint32_t mask = 0; mask < kNumMasks; ++mask) {
+    req.items.push_back(ItemForMask(mask, attrs));
+  }
+  CertifyResponse resp;
+  ASSERT_TRUE(client.Certify(req, /*batch=*/true, &resp).ok());
+  EXPECT_GT(stat("verdict_cache_signature_entries"), before[1]);
+
+  ASSERT_TRUE(client.Unregister("ephemeral").ok());
+  for (size_t k = 0; k < before.size(); ++k) {
+    EXPECT_EQ(stat(kKeys[k]), before[k]) << kKeys[k];
+  }
+
+  daemon.Stop();
+}
+
 }  // namespace
 }  // namespace provview

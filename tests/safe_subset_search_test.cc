@@ -181,10 +181,10 @@ TEST(SafeSubsetSearchTest, ShardedMinimalSetsMatchSequential) {
     par.num_threads = 4;
     par.min_parallel_subsets = 0;
     SafeSearchStats seq_stats, par_stats;
-    std::vector<Bitset64> a = MinimalSafeHiddenSets(
-        *m, gamma, &seq_stats, Module::kDefaultMaterializeRows, seq);
-    std::vector<Bitset64> b = MinimalSafeHiddenSets(
-        *m, gamma, &par_stats, Module::kDefaultMaterializeRows, par);
+    std::vector<Bitset64> a =
+        MinimalSafeHiddenSets(*m, gamma, &seq_stats, seq);
+    std::vector<Bitset64> b =
+        MinimalSafeHiddenSets(*m, gamma, &par_stats, par);
     EXPECT_EQ(a, b) << "gamma " << gamma;  // same sets, same order
     // Exact aggregation: every examined subset is counted exactly once
     // across the shards — the total is the closed-form lattice size, the
@@ -215,19 +215,17 @@ TEST(SafeSubsetSearchTest, ShardedMinCostAndCardinalityMatchSequential) {
   par.num_threads = 4;
   par.min_parallel_subsets = 0;
   for (int64_t gamma : {int64_t{2}, int64_t{4}}) {
-    MinCostSafeResult a =
-        MinCostSafeHiddenSet(*m, gamma, Module::kDefaultMaterializeRows, seq);
-    MinCostSafeResult b =
-        MinCostSafeHiddenSet(*m, gamma, Module::kDefaultMaterializeRows, par);
+    MinCostSafeResult a = MinCostSafeHiddenSet(*m, gamma, seq);
+    MinCostSafeResult b = MinCostSafeHiddenSet(*m, gamma, par);
     EXPECT_EQ(a.found, b.found) << "gamma " << gamma;
     if (a.found) {
       EXPECT_EQ(a.hidden, b.hidden);
       EXPECT_DOUBLE_EQ(a.cost, b.cost);
     }
-    std::vector<CardinalityPair> fa = MinimalSafeCardinalityPairs(
-        *m, gamma, Module::kDefaultMaterializeRows, seq);
-    std::vector<CardinalityPair> fb = MinimalSafeCardinalityPairs(
-        *m, gamma, Module::kDefaultMaterializeRows, par);
+    std::vector<CardinalityPair> fa =
+        MinimalSafeCardinalityPairs(*m, gamma, seq);
+    std::vector<CardinalityPair> fb =
+        MinimalSafeCardinalityPairs(*m, gamma, par);
     EXPECT_EQ(fa, fb) << "gamma " << gamma;
   }
 }
@@ -281,8 +279,8 @@ TEST(SafeSubsetSearchTest, ShardedWalkMatchesSequentialByteForByte) {
     SubsetSearchOptions seq;
     seq.num_threads = 1;
     SafeSearchStats seq_stats;
-    std::vector<Bitset64> want = MinimalSafeHiddenSets(
-        *m, gamma, &seq_stats, Module::kDefaultMaterializeRows, seq);
+    std::vector<Bitset64> want =
+        MinimalSafeHiddenSets(*m, gamma, &seq_stats, seq);
 
     for (int threads : {1, 2, 8}) {
       for (TaskGraphExecutor* executor : {static_cast<TaskGraphExecutor*>(
@@ -293,8 +291,8 @@ TEST(SafeSubsetSearchTest, ShardedWalkMatchesSequentialByteForByte) {
         par.executor = executor;
         par.min_parallel_subsets = 0;
         SafeSearchStats got_stats;
-        std::vector<Bitset64> got = MinimalSafeHiddenSets(
-            *m, gamma, &got_stats, Module::kDefaultMaterializeRows, par);
+        std::vector<Bitset64> got =
+            MinimalSafeHiddenSets(*m, gamma, &got_stats, par);
         EXPECT_EQ(got, want) << "seed " << seed << " threads " << threads;
         EXPECT_EQ(got_stats.subsets_examined, seq_stats.subsets_examined);
         EXPECT_EQ(got_stats.checker_calls, seq_stats.checker_calls)
@@ -317,8 +315,8 @@ TEST(SafeSubsetSearchTest, ShardedCardinalityPairsMatchSequential) {
   SubsetSearchOptions seq;
   seq.num_threads = 1;
   for (int64_t gamma : {int64_t{2}, int64_t{4}}) {
-    std::vector<CardinalityPair> want = MinimalSafeCardinalityPairs(
-        *m, gamma, Module::kDefaultMaterializeRows, seq);
+    std::vector<CardinalityPair> want =
+        MinimalSafeCardinalityPairs(*m, gamma, seq);
     for (int threads : {2, 8}) {
       for (TaskGraphExecutor* executor : {static_cast<TaskGraphExecutor*>(
                                               nullptr),
@@ -327,9 +325,7 @@ TEST(SafeSubsetSearchTest, ShardedCardinalityPairsMatchSequential) {
         par.num_threads = threads;
         par.executor = executor;
         par.min_parallel_subsets = 0;
-        EXPECT_EQ(MinimalSafeCardinalityPairs(
-                      *m, gamma, Module::kDefaultMaterializeRows, par),
-                  want)
+        EXPECT_EQ(MinimalSafeCardinalityPairs(*m, gamma, par), want)
             << "gamma " << gamma << " threads " << threads;
       }
     }

@@ -80,15 +80,18 @@ TEST(StreamingEquivalenceTest, SubsetSearchMatchesAcrossPaths) {
   for (uint64_t seed = 50; seed < 62; ++seed) {
     RandomModule inst = MakeRandomModule(2, 2, 3, seed);
     const Module& m = *inst.module;
+    SubsetSearchOptions materialized, streamed;
+    materialized.materialize_threshold = m.DomainSize();
+    streamed.materialize_threshold = 0;
     for (int64_t gamma : {2, 4}) {
       SafeSearchStats mat_stats, stream_stats;
-      std::vector<Bitset64> mat = MinimalSafeHiddenSets(
-          m, gamma, &mat_stats, /*materialize_threshold=*/m.DomainSize());
-      std::vector<Bitset64> stream = MinimalSafeHiddenSets(
-          m, gamma, &stream_stats, /*materialize_threshold=*/0);
+      std::vector<Bitset64> mat =
+          MinimalSafeHiddenSets(m, gamma, &mat_stats, materialized);
+      std::vector<Bitset64> stream =
+          MinimalSafeHiddenSets(m, gamma, &stream_stats, streamed);
       EXPECT_EQ(mat, stream) << "seed " << seed << " gamma " << gamma;
-      EXPECT_EQ(MinimalSafeCardinalityPairs(m, gamma, m.DomainSize()),
-                MinimalSafeCardinalityPairs(m, gamma, 0))
+      EXPECT_EQ(MinimalSafeCardinalityPairs(m, gamma, materialized),
+                MinimalSafeCardinalityPairs(m, gamma, streamed))
           << "seed " << seed << " gamma " << gamma;
     }
   }

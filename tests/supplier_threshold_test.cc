@@ -81,19 +81,19 @@ TEST(SupplierThresholdTest, BothPathsCertifyIdenticallyWithIdenticalStats) {
 
 TEST(SupplierThresholdTest, SubsetSearchesAgreeAcrossTheCutoff) {
   BoundaryFixture fx;
+  SubsetSearchOptions at_cutoff, below_cutoff;
+  at_cutoff.materialize_threshold = BoundaryFixture::kCutoff;
+  below_cutoff.materialize_threshold = BoundaryFixture::kCutoff - 1;
   for (int64_t gamma : {2, 6}) {
     SafeSearchStats mat_stats, stream_stats;
-    std::vector<Bitset64> mat = MinimalSafeHiddenSets(
-        *fx.module, gamma, &mat_stats, BoundaryFixture::kCutoff);
-    std::vector<Bitset64> stream = MinimalSafeHiddenSets(
-        *fx.module, gamma, &stream_stats, BoundaryFixture::kCutoff - 1);
+    std::vector<Bitset64> mat =
+        MinimalSafeHiddenSets(*fx.module, gamma, &mat_stats, at_cutoff);
+    std::vector<Bitset64> stream =
+        MinimalSafeHiddenSets(*fx.module, gamma, &stream_stats, below_cutoff);
     EXPECT_EQ(mat, stream) << "gamma " << gamma;
     EXPECT_TRUE(StatsEqual(mat_stats, stream_stats)) << "gamma " << gamma;
-    EXPECT_EQ(
-        MinimalSafeCardinalityPairs(*fx.module, gamma,
-                                    BoundaryFixture::kCutoff),
-        MinimalSafeCardinalityPairs(*fx.module, gamma,
-                                    BoundaryFixture::kCutoff - 1))
+    EXPECT_EQ(MinimalSafeCardinalityPairs(*fx.module, gamma, at_cutoff),
+              MinimalSafeCardinalityPairs(*fx.module, gamma, below_cutoff))
         << "gamma " << gamma;
     EXPECT_EQ(MaxStandaloneGamma(*fx.module, Bitset64(fx.catalog->size()),
                                  BoundaryFixture::kCutoff),

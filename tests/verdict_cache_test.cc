@@ -49,6 +49,62 @@ TEST(VerdictCacheTest, InsertAndLookupAcrossNamespacesAndClasses) {
   EXPECT_EQ(cache.Stats().namespaces, 2);
 }
 
+TEST(VerdictCacheTest, DropNamespaceErasesOnlyThatNamespace) {
+  VerdictCache cache;
+  const uint32_t ns_a = cache.RegisterNamespace("a");
+  const uint32_t ns_b = cache.RegisterNamespace("b");
+  const uint32_t ns_c = cache.RegisterNamespace("c");
+  for (uint64_t i = 0; i < 300; ++i) {
+    cache.Insert(ns_b, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
+    cache.Insert(ns_c, VerdictKeyClass::kProjection, Key(i), GammaOf(i));
+  }
+  const VerdictCacheStats kept = cache.Stats();
+  int64_t gamma = 0;
+  for (uint64_t i = 0; i < 300; ++i) {
+    cache.Insert(ns_a, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
+    cache.Insert(ns_a, VerdictKeyClass::kProjection, Key(i), GammaOf(i));
+    // Promote some of a's entries so the drop sweeps both LRU segments.
+    if (i % 3 == 0) {
+      cache.Lookup(ns_a, VerdictKeyClass::kSignature, Key(i), &gamma);
+    }
+  }
+  const int64_t bytes_before_drop = cache.bytes_in_use();
+  ASSERT_EQ(cache.Stats().namespaces, 3u);
+
+  cache.DropNamespace(ns_a);
+  VerdictCacheStats after = cache.Stats();
+  EXPECT_EQ(after.namespaces, 2u);
+  // Entry and byte tallies return to what b and c alone held; the drop is
+  // not an eviction.
+  EXPECT_EQ(after.signature.entries, kept.signature.entries);
+  EXPECT_EQ(after.projection.entries, kept.projection.entries);
+  EXPECT_EQ(after.signature.bytes, kept.signature.bytes);
+  EXPECT_EQ(after.projection.bytes, kept.projection.bytes);
+  EXPECT_EQ(after.signature.evictions, 0u);
+  EXPECT_EQ(after.projection.evictions, 0u);
+  EXPECT_LT(cache.bytes_in_use(), bytes_before_drop);
+  for (uint64_t i = 0; i < 300; ++i) {
+    EXPECT_FALSE(
+        cache.Lookup(ns_a, VerdictKeyClass::kSignature, Key(i), &gamma));
+    ASSERT_TRUE(
+        cache.Lookup(ns_b, VerdictKeyClass::kSignature, Key(i), &gamma));
+    EXPECT_EQ(gamma, GammaOf(i));
+    ASSERT_TRUE(
+        cache.Lookup(ns_c, VerdictKeyClass::kProjection, Key(i), &gamma));
+    EXPECT_EQ(gamma, GammaOf(i));
+  }
+
+  // Dropping again is a no-op; dropping the rest drains the cache.
+  cache.DropNamespace(ns_a);
+  EXPECT_EQ(cache.Stats().namespaces, 2u);
+  cache.DropNamespace(ns_b);
+  cache.DropNamespace(ns_c);
+  after = cache.Stats();
+  EXPECT_EQ(after.namespaces, 0u);
+  EXPECT_EQ(after.signature.entries + after.projection.entries, 0);
+  EXPECT_EQ(after.signature.bytes + after.projection.bytes, 0);
+}
+
 TEST(VerdictCacheTest, FirstInsertWins) {
   // Verdicts are pure functions of their key: a second insert of the same
   // key is a no-op, never an overwrite.

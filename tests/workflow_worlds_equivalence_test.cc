@@ -14,6 +14,7 @@
 #include "generators/random_workflow.h"
 #include "module/module_library.h"
 #include "privacy/possible_worlds.h"
+#include "world_render.h"
 
 namespace provview {
 namespace {
@@ -244,19 +245,19 @@ TEST(WorkflowWorldsEquivalenceTest, Example7FreeChainsMatchNaive) {
 }
 
 // ---------------------------------------------------------------------
-// Deep (>=4-stage) fixtures: the feasible-set fixpoint engine must agree
-// with both the naive reference and the determined-input engine
-// (use_feasible_sets = false) on the shapes E1f makes its speedup claims on.
+// Deep (>=4-stage) fixtures on the shapes E1f runs: the feasible-set
+// fixpoint engine must agree with the naive reference where its joint space
+// is at most 2^16, and with golden values beyond it. The walked-state
+// bounds are the states the enumerator walked before the fixpoint existed
+// (determined-input pruning only).
 // ---------------------------------------------------------------------
 
 namespace {
 
-WorkflowWorlds EnumerateWithFixpoint(const Workflow& w, const Bitset64& visible,
-                                     const std::vector<int>& fixed,
-                                     bool use_fixpoint) {
+WorkflowWorlds EnumerateDeep(const Workflow& w, const Bitset64& visible,
+                             const std::vector<int>& fixed) {
   WorkflowEnumerationOptions opts;
   opts.max_candidates = int64_t{1} << 33;
-  opts.use_feasible_sets = use_fixpoint;
   return EnumerateWorkflowWorlds(w, visible, fixed, opts);
 }
 
@@ -264,7 +265,8 @@ WorkflowWorlds EnumerateWithFixpoint(const Workflow& w, const Bitset64& visible,
 
 TEST(WorkflowWorldsEquivalenceTest, DeepChainMatchesNaiveEveryHiddenLayer) {
   // 4-stage one-bit chain (naive joint 4^4 = 256): hide each layer in turn
-  // and compare naive vs fixpoint-on vs fixpoint-off.
+  // and compare naive vs the fixpoint engine.
+  const int64_t determined_input_walked[] = {256, 64, 64};
   for (int hidden_layer = 1; hidden_layer <= 3; ++hidden_layer) {
     Rng rng(static_cast<uint64_t>(hidden_layer) * 19 + 2);
     OneOneChain chain = MakeOneOneChain(4, 1, &rng);
@@ -275,37 +277,27 @@ TEST(WorkflowWorldsEquivalenceTest, DeepChainMatchesNaiveEveryHiddenLayer) {
     Bitset64 visible = hidden.Complement();
     WorkflowWorlds naive =
         EnumerateWorkflowWorldsNaive(*chain.workflow, visible, {});
-    WorkflowWorlds on =
-        EnumerateWithFixpoint(*chain.workflow, visible, {}, true);
-    WorkflowWorlds off =
-        EnumerateWithFixpoint(*chain.workflow, visible, {}, false);
+    WorkflowWorlds on = EnumerateDeep(*chain.workflow, visible, {});
     ExpectIdentical(naive, on, static_cast<uint64_t>(hidden_layer));
-    ExpectIdentical(naive, off, static_cast<uint64_t>(hidden_layer));
-    EXPECT_LE(on.pruned_candidates, off.pruned_candidates)
+    EXPECT_LE(on.pruned_candidates,
+              determined_input_walked[hidden_layer - 1])
         << "layer " << hidden_layer;
   }
 }
 
-TEST(WorkflowWorldsEquivalenceTest, RandomizedDeepChainsOnOffNaive) {
-  // Random visible subsets over random 4- and 5-stage one-bit chains.
-  int naive_checked = 0;
+TEST(WorkflowWorldsEquivalenceTest, RandomizedDeepChainsMatchNaive) {
+  // Random visible subsets over random 4- and 5-stage one-bit chains (naive
+  // joint at most 4^5 = 1024, so every instance is checked).
   for (uint64_t seed = 500; seed < 540; ++seed) {
     Rng rng(seed * 37 + 5);
     OneOneChain chain = MakeOneOneChain(seed % 2 == 0 ? 4 : 5, 1, &rng);
     Bitset64 visible = RandomVisible(*chain.workflow, &rng, 0.5);
-    WorkflowWorlds on =
-        EnumerateWithFixpoint(*chain.workflow, visible, {}, true);
-    WorkflowWorlds off =
-        EnumerateWithFixpoint(*chain.workflow, visible, {}, false);
-    ExpectIdentical(off, on, seed);
-    if (NaiveJoint(*chain.workflow, {}) <= (1 << 16)) {
-      WorkflowWorlds naive =
-          EnumerateWorkflowWorldsNaive(*chain.workflow, visible, {});
-      ExpectIdentical(naive, on, seed);
-      ++naive_checked;
-    }
+    ASSERT_LE(NaiveJoint(*chain.workflow, {}), 1 << 16) << "seed " << seed;
+    WorkflowWorlds naive =
+        EnumerateWorkflowWorldsNaive(*chain.workflow, visible, {});
+    WorkflowWorlds on = EnumerateDeep(*chain.workflow, visible, {});
+    ExpectIdentical(naive, on, seed);
   }
-  EXPECT_GE(naive_checked, 10);
 }
 
 TEST(WorkflowWorldsEquivalenceTest, DiamondWithFixedSourceMatchesNaive) {
@@ -319,37 +311,40 @@ TEST(WorkflowWorldsEquivalenceTest, DiamondWithFixedSourceMatchesNaive) {
   Bitset64 visible = hidden.Complement();
   WorkflowWorlds naive = EnumerateWorkflowWorldsNaive(
       *dia.workflow, visible, {dia.source_index});
-  WorkflowWorlds on = EnumerateWithFixpoint(*dia.workflow, visible,
-                                            {dia.source_index}, true);
-  WorkflowWorlds off = EnumerateWithFixpoint(*dia.workflow, visible,
-                                             {dia.source_index}, false);
+  WorkflowWorlds on =
+      EnumerateDeep(*dia.workflow, visible, {dia.source_index});
   ExpectIdentical(naive, on, 0);
-  ExpectIdentical(naive, off, 0);
 }
 
-TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailOnVsOff) {
-  // The all-free E1f diamond (too large for the naive reference): the
-  // fixpoint forces the source and both branches, prunes the sink, and
-  // must agree with the determined-input engine exactly — including under
-  // thread sharding and the Γ short-circuit verdict.
+TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailMatchesGolden) {
+  // The all-free E1f diamond (naive joint 2^28, too large for the naive
+  // reference): the fixpoint forces the source and both branches, prunes
+  // the sink, and must reproduce the golden counts and OUT sets — at every
+  // thread count — and the Γ short-circuit verdict of the full walk.
   Rng rng(78);
   DiamondWorkflow dia = MakeDiamondWorkflow(1, /*with_tail=*/true, &rng);
   Bitset64 hidden(dia.catalog->size());
   for (AttrId id : dia.y) hidden.Set(id);
   Bitset64 visible = hidden.Complement();
-  WorkflowWorlds on = EnumerateWithFixpoint(*dia.workflow, visible, {}, true);
-  WorkflowWorlds off =
-      EnumerateWithFixpoint(*dia.workflow, visible, {}, false);
-  ExpectIdentical(off, on, 0);
-  EXPECT_LT(on.pruned_candidates, off.pruned_candidates);
+  WorkflowWorlds on = EnumerateDeep(*dia.workflow, visible, {});
+  EXPECT_EQ(on.num_function_choices, 24);
+  EXPECT_EQ(on.num_distinct_relations, 24);
+  EXPECT_EQ(RenderOutSets(on),
+            "m0{00:01;01:00;10:10;11:11;}m1{0:0;1:1;}m2{0:1;1:0;}"
+            "m3{00:00,01,10,11;01:00,01,10,11;10:00,01,10,11;11:00,01,10,11;}"
+            "m4{00:00,01,10,11;01:00,01,10,11;10:00,01,10,11;11:00,01,10,11;}");
+  // Determined-input pruning alone walked 2^20 states.
+  EXPECT_LT(on.pruned_candidates, int64_t{1} << 20);
 
-  WorkflowEnumerationOptions parallel;
-  parallel.max_candidates = int64_t{1} << 33;
-  parallel.num_threads = 4;
-  parallel.min_parallel_candidates = 0;
-  WorkflowWorlds sharded =
-      EnumerateWorkflowWorlds(*dia.workflow, visible, {}, parallel);
-  ExpectIdentical(on, sharded, 0);
+  for (int threads : {2, 8}) {
+    WorkflowEnumerationOptions parallel;
+    parallel.max_candidates = int64_t{1} << 33;
+    parallel.num_threads = threads;
+    parallel.min_parallel_candidates = 0;
+    WorkflowWorlds sharded =
+        EnumerateWorkflowWorlds(*dia.workflow, visible, {}, parallel);
+    ExpectIdentical(on, sharded, static_cast<uint64_t>(threads));
+  }
 
   int64_t min_out = std::numeric_limits<int64_t>::max();
   for (int i = 0; i < dia.workflow->num_modules(); ++i) {
