@@ -9,9 +9,8 @@
 //       |Worlds(R1,V)| = Γ^(2^k) while |Worlds(R,V)| = (Γ!)^(2^k / Γ) —
 //       the ratio grows doubly exponentially in k — yet per-input OUT
 //       sets (the actual privacy guarantee) are identical.
-//   (c) the pruned/interned/parallel engine vs. the naive |Range|^N
-//       odometer: identical worlds and OUT sets, >= 5x faster on the
-//       largest configurations (the point of the optimized hot path).
+// Both tables enumerate standalone worlds with the |Range|^N odometer (the
+// specification; 8^4 and 4^4 candidates) and set Algorithm 2 beside it.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -62,7 +61,7 @@ void RunningExampleTable() {
   for (const Case& c : cases) {
     Bitset64 v = Bitset64::Of(7, c.visible);
     StandaloneWorlds worlds =
-        EnumerateStandaloneWorlds(rel, m1.inputs(), m1.outputs(), v);
+        EnumerateStandaloneWorldsNaive(rel, m1.inputs(), m1.outputs(), v);
     t.NewRow()
         .AddCell(c.label)
         .AddCell(MaxStandaloneGamma(rel, m1.inputs(), m1.outputs(), v))
@@ -87,7 +86,7 @@ void Prop2Table() {
     Bitset64 hidden(3 * k);
     hidden.Set(k);  // first middle attribute
     Bitset64 visible = hidden.Complement();
-    StandaloneWorlds s = EnumerateStandaloneWorlds(
+    StandaloneWorlds s = EnumerateStandaloneWorldsNaive(
         m1.FullRelation(), m1.inputs(), m1.outputs(), visible);
     WorkflowWorlds w = EnumerateWorkflowWorlds(*chain.workflow, visible, {});
     int64_t sa_closed = SaturatingPow(gamma, 1 << k);
@@ -127,15 +126,6 @@ void Prop2Table() {
                "families, as Lemma 1 proves.)\n";
 }
 
-// --- E1c: naive odometer vs. pruned/interned/parallel engine. ---
-
-struct SpeedupCase {
-  const char* label;
-  int ki, ko;
-  std::vector<int> out_doms;  // domain size per output
-  uint64_t seed;
-};
-
 // Wall time of `fn` (min of `reps` runs), in milliseconds.
 template <typename Fn>
 double TimeMs(int reps, const Fn& fn) {
@@ -169,75 +159,6 @@ double RaceTimeMs(const Fn& fn) {
   const double t0 = RaceClockMs();
   fn();
   return RaceClockMs() - t0;
-}
-
-void SpeedupTable() {
-  PrintBanner(
-      "E1c: pruned+interned+parallel engine vs naive |Range|^N odometer");
-  // Random modules; one input and one output hidden (the interesting regime:
-  // partial visibility). The last rows are the largest configurations the
-  // naive engine can still walk in reasonable time.
-  std::vector<SpeedupCase> cases = {
-      {"ki=3 ko=2 bool", 3, 2, {2, 2}, 42},
-      {"ki=4 ko=1 bool", 4, 1, {2}, 7},
-      {"ki=3 ko=2 dom(3,2)", 3, 2, {3, 2}, 13},
-      {"ki=3 ko=2 dom(3,3)", 3, 2, {3, 3}, 99},
-  };
-  TablePrinter t({"config", "naive cand", "pruned cand", "worlds",
-                  "naive ms", "opt ms", "speedup"});
-  double min_speedup = 1e100;
-  for (const SpeedupCase& c : cases) {
-    auto catalog = std::make_shared<AttributeCatalog>();
-    std::vector<AttrId> in, out;
-    for (int i = 0; i < c.ki; ++i) {
-      in.push_back(catalog->Add("i" + std::to_string(i)));
-    }
-    for (int o = 0; o < c.ko; ++o) {
-      out.push_back(catalog->Add("o" + std::to_string(o),
-                                 c.out_doms[static_cast<size_t>(o)]));
-    }
-    Rng rng(c.seed);
-    ModulePtr m = MakeRandomFunction("m", catalog, in, out, &rng);
-    Relation rel = m->FullRelation();
-    Bitset64 visible = Bitset64::All(catalog->size());
-    visible.Reset(in[0]);   // hide one input
-    visible.Reset(out[0]);  // and one output
-
-    const int64_t naive_budget = int64_t{1} << 32;
-    StandaloneWorlds naive, fast;
-    // One rep is plenty once the naive walk takes seconds.
-    const int naive_reps = SaturatingPow(m->RangeSize(), 1 << c.ki) > 2000000
-                               ? 1
-                               : 3;
-    double naive_ms = TimeMs(naive_reps, [&] {
-      naive = EnumerateStandaloneWorldsNaive(rel, m->inputs(), m->outputs(),
-                                             visible, naive_budget);
-    });
-    EnumerationOptions opts;
-    opts.max_candidates = naive_budget;
-    opts.num_threads = 0;  // auto: use whatever cores the host has
-    double opt_ms = TimeMs(3, [&] {
-      fast = EnumerateStandaloneWorlds(rel, m->inputs(), m->outputs(),
-                                       visible, opts);
-    });
-    PV_CHECK_MSG(naive.num_worlds == fast.num_worlds &&
-                     naive.out_sets == fast.out_sets,
-                 "optimized engine diverged from naive on " << c.label);
-    double speedup = naive_ms / std::max(opt_ms, 1e-6);
-    min_speedup = std::min(min_speedup, speedup);
-    t.NewRow()
-        .AddCell(c.label)
-        .AddCell(fast.naive_candidates)
-        .AddCell(fast.pruned_candidates)
-        .AddCell(fast.num_worlds)
-        .AddCell(naive_ms, 2)
-        .AddCell(opt_ms, 2)
-        .AddCell(speedup, 1);
-  }
-  t.Print();
-  std::cout << "  min speedup " << min_speedup
-            << "x (acceptance target: >= 5x on the largest configs; "
-               "worlds and OUT sets verified identical per row)\n";
 }
 
 // --- E1d: naive joint odometer vs. pruned/sharded workflow engine. ---
@@ -563,7 +484,6 @@ int main() {
   Stopwatch sw;
   RunningExampleTable();
   Prop2Table();
-  SpeedupTable();
   WorkflowSpeedupTable();
   StreamingStandaloneTable();
   StreamingWorkflowTable();

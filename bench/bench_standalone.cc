@@ -75,10 +75,10 @@ void BM_MinCostSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_MinCostSearch)->DenseRange(4, 12, 2);
 
-// --- Brute-force world walk: naive |Range|^N odometer vs pruned engine. ---
-// Same module and view; the pruned/interned walk visits ∏|feasible_i|
-// candidates with O(1) incremental updates instead of |Range|^N set
-// comparisons. The Γ short-circuit is off so both do the full count.
+// --- Brute-force world walk: the |Range|^N odometer (the specification). ---
+// The cost Algorithm 2 avoids: |Range|^N candidate functions, each a set
+// comparison against the view, for a verdict BM_Algorithm2Check reaches in
+// one pass over the rows.
 void BM_WorldWalkNaive(benchmark::State& state) {
   const int ki = static_cast<int>(state.range(0));
   BenchModule bm = MakeBenchModule(ki, 2, 42);
@@ -92,41 +92,6 @@ void BM_WorldWalkNaive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorldWalkNaive)->DenseRange(2, 3, 1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_WorldWalkPruned(benchmark::State& state) {
-  const int ki = static_cast<int>(state.range(0));
-  BenchModule bm = MakeBenchModule(ki, 2, 42);
-  Bitset64 visible = Bitset64::All(bm.catalog->size());
-  visible.Reset(0);
-  visible.Reset(ki);
-  EnumerationOptions opts;
-  opts.max_candidates = int64_t{1} << 32;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EnumerateStandaloneWorlds(
-        bm.relation, bm.module->inputs(), bm.module->outputs(), visible,
-        opts));
-  }
-}
-BENCHMARK(BM_WorldWalkPruned)->DenseRange(2, 3, 1)
-    ->Unit(benchmark::kMillisecond);
-
-// --- Γ short-circuit: safety verdict without the full walk. ---
-void BM_BruteSafetyShortCircuit(benchmark::State& state) {
-  const int ki = static_cast<int>(state.range(0));
-  BenchModule bm = MakeBenchModule(ki, 2, 42);
-  Bitset64 visible = Bitset64::All(bm.catalog->size());
-  visible.Reset(0);
-  visible.Reset(ki);
-  EnumerationOptions opts;
-  opts.max_candidates = int64_t{1} << 32;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IsStandaloneSafeByEnumeration(
-        bm.relation, bm.module->inputs(), bm.module->outputs(), visible, 2,
-        opts));
-  }
-}
-BENCHMARK(BM_BruteSafetyShortCircuit)->DenseRange(2, 3, 1)
     ->Unit(benchmark::kMillisecond);
 
 // --- Cardinality-frontier computation (the §4.2 list builder). ---

@@ -2,8 +2,8 @@
 """Bench-regression guard for CI.
 
 Compares a freshly produced BENCH_possible_worlds.json against the
-committed baseline and fails (exit 1) if either engine's min speedup
-dropped below half the committed value. Stdlib only.
+committed baseline and fails (exit 1) if a gated metric dropped below half
+the committed value. Stdlib only.
 
 Usage: check_regression.py <baseline.json> <fresh.json>
 """
@@ -12,9 +12,8 @@ import sys
 
 THRESHOLD = 0.5
 
-# (label, keys tried in order — older baselines only carry the e1c_ name)
+# (label, keys tried in order)
 METRICS = [
-    ("standalone_min_speedup_x", ("standalone_min_speedup_x", "e1c_min_speedup_x")),
     ("workflow_min_speedup_x", ("workflow_min_speedup_x",)),
     ("sharded_search_speedup_x", ("sharded_search_speedup_x",)),
     ("podsd_throughput_rps", ("podsd_throughput_rps",)),

@@ -33,9 +33,6 @@ PW_SECONDS="$(awk -v a="${PW_T0}" -v b="${PW_T1}" 'BEGIN{printf "%.3f", b-a}')"
 # Each extraction tolerates a missing pattern (`|| true`): under
 # `set -eo pipefail` a failed grep would otherwise kill the script before
 # the JSON's :-null fallbacks ever ran.
-# "min speedup 123.4x (...)" from the E1c summary line (exclude the E1d
-# workflow line, which also contains "min speedup").
-PW_MIN_SPEEDUP="$(grep -v 'workflow min speedup' "${PW_LOG}" | grep -o 'min speedup [0-9.]*' | awk '{print $3}' | head -1 || true)"
 # "workflow min speedup 45.6x (...)" from the E1d summary line.
 PW_WF_MIN_SPEEDUP="$(grep -o 'workflow min speedup [0-9.]*' "${PW_LOG}" | awk '{print $4}' | head -1 || true)"
 # E1e streaming-certification summary lines.
@@ -53,10 +50,10 @@ E1F_SHARDED_MS="$(grep -o 'sharded_ms=[0-9.]*' "${PW_LOG}" | awk -F= '{print $2}
 E1F_SHARDED_SPEEDUP="$(grep -o 'sharded_speedup=[0-9.]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 rm -f "${PW_LOG}"
 
-echo "== bench_standalone (world-walk benchmarks) =="
+echo "== bench_standalone (naive world walk and Algorithm-2 check) =="
 SA_T0="$(now_s)"
 "${BUILD_DIR}/bench_standalone" \
-  --benchmark_filter='WorldWalk|ShortCircuit' \
+  --benchmark_filter='WorldWalkNaive|Algorithm2Check' \
   --benchmark_format=json >"${BUILD_DIR}/bench_standalone_worldwalk.json"
 SA_T1="$(now_s)"
 SA_SECONDS="$(awk -v a="${SA_T0}" -v b="${SA_T1}" 'BEGIN{printf "%.3f", b-a}')"
@@ -118,10 +115,7 @@ rm -f "${OPT_LOG}"
 
 GIT_REV="$(git -C "${REPO_ROOT}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
-# standalone_min_speedup_x duplicates e1c_min_speedup_x under the name the
-# CI bench-regression guard reads; the old key stays for trajectory
-# continuity with earlier PRs. The fresh record is composed to a temp file
-# first, then merged with the previous ${OUT}'s history so the trajectory
+# The fresh record is composed to a temp file first, then merged with the previous ${OUT}'s history so the trajectory
 # across PRs survives each run (top-level keys stay the latest snapshot,
 # which is what bench/check_regression.py reads).
 LATEST_JSON="$(mktemp)"
@@ -132,8 +126,6 @@ cat >"${LATEST_JSON}" <<EOF
   "host_threads": $(nproc),
   "short_mode": ${BENCH_SHORT:-0},
   "bench_possible_worlds_seconds": ${PW_SECONDS},
-  "e1c_min_speedup_x": ${PW_MIN_SPEEDUP:-null},
-  "standalone_min_speedup_x": ${PW_MIN_SPEEDUP:-null},
   "workflow_min_speedup_x": ${PW_WF_MIN_SPEEDUP:-null},
   "e1e_stream_rows": ${E1E_ROWS:-null},
   "e1e_stream_gamma": ${E1E_GAMMA:-null},
@@ -179,7 +171,7 @@ import sys
 
 HIST_KEYS = [
     "date_utc", "git_rev", "host_threads", "short_mode",
-    "standalone_min_speedup_x", "workflow_min_speedup_x",
+    "workflow_min_speedup_x",
     "e1e_stream_ms", "e1e_workflow_stream_ms",
     "e1f_sharded_search_k",
     "k24_seq_search_ms", "k24_sharded_search_ms",

@@ -21,14 +21,10 @@
 //     still runs to completion, so Run() always returns. The first
 //     exception is rethrown from Run(); a tripped control surfaces as its
 //     typed Status.
-//   * A bounded admission gate (TryAdmit/Release) for service callers:
-//     podsd admits a request's units before submitting engine work and
-//     rejects with RESOURCE_EXHAUSTED when the daemon is saturated,
-//     instead of queueing unboundedly.
 //
 // Determinism: the executor schedules tasks in a nondeterministic order, so
 // deterministic results are the *graph builder's* job — tasks write to
-// disjoint slots and dedicated merge/absorb tasks combine them in a fixed
+// disjoint slots and dedicated merge/replay tasks combine them in a fixed
 // order (see safe_subset_search.cc and docs/task_graph.md). RunInline()
 // executes the same graph fully sequentially in task-id-seeded FIFO order:
 // the zero-overhead path for resolved num_threads == 1.
@@ -41,7 +37,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -125,9 +120,7 @@ class TaskGraph {
 /// Destroy only after every Run() has returned.
 class TaskGraphExecutor {
  public:
-  explicit TaskGraphExecutor(
-      int num_threads,
-      int64_t max_pending = std::numeric_limits<int64_t>::max());
+  explicit TaskGraphExecutor(int num_threads);
   ~TaskGraphExecutor();
 
   TaskGraphExecutor(const TaskGraphExecutor&) = delete;
@@ -142,18 +135,6 @@ class TaskGraphExecutor {
   /// executor alive until every detached body has finished; bodies still
   /// queued when the executor is destroyed are discarded unrun.
   void SubmitDetached(std::function<void()> fn);
-
-  /// Admission gate: reserves `units` of pending capacity, or returns false
-  /// when the reservation would exceed max_pending. Callers that got true
-  /// must Release() the same units when their work retires. Purely a
-  /// counter — the executor does not count tasks itself, so callers choose
-  /// the unit (podsd charges one unit per request item).
-  bool TryAdmit(int64_t units);
-  void Release(int64_t units);
-  int64_t admitted_units() const {
-    return admitted_.load(std::memory_order_relaxed);
-  }
-  int64_t max_pending() const { return max_pending_; }
 
  private:
   friend class TaskGraph;
@@ -183,9 +164,6 @@ class TaskGraphExecutor {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   std::atomic<bool> stop_{false};
-
-  const int64_t max_pending_;
-  std::atomic<int64_t> admitted_{0};
 };
 
 /// The executor an engine call with `threads` resolved runners hands to
@@ -194,40 +172,6 @@ class TaskGraphExecutor {
 /// the helping caller is the last runner — parked in `*owned`.
 TaskGraphExecutor* ExecutorFor(int threads, TaskGraphExecutor* shared,
                                std::unique_ptr<TaskGraphExecutor>* owned);
-
-/// RAII for the admission gate: admitted units are released on every exit
-/// path of a request handler.
-class AdmissionTicket {
- public:
-  AdmissionTicket() = default;
-  AdmissionTicket(TaskGraphExecutor* executor, int64_t units)
-      : executor_(executor), units_(units) {}
-  AdmissionTicket(AdmissionTicket&& o) noexcept
-      : executor_(o.executor_), units_(o.units_) {
-    o.executor_ = nullptr;
-  }
-  AdmissionTicket& operator=(AdmissionTicket&& o) noexcept {
-    if (this != &o) {
-      reset();
-      executor_ = o.executor_;
-      units_ = o.units_;
-      o.executor_ = nullptr;
-    }
-    return *this;
-  }
-  AdmissionTicket(const AdmissionTicket&) = delete;
-  AdmissionTicket& operator=(const AdmissionTicket&) = delete;
-  ~AdmissionTicket() { reset(); }
-
-  void reset() {
-    if (executor_ != nullptr) executor_->Release(units_);
-    executor_ = nullptr;
-  }
-
- private:
-  TaskGraphExecutor* executor_ = nullptr;
-  int64_t units_ = 0;
-};
 
 }  // namespace provview
 

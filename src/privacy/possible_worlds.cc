@@ -65,144 +65,6 @@ std::vector<int> VisiblePositions(const std::vector<AttrId>& attrs,
   return pos;
 }
 
-// ----------------------------------------------------------------------------
-// Pruned incremental engine.
-//
-// The target view is interned to dense ids 0..T-1. For each input slot i only
-// the output codes whose visible projection occurs in the target are feasible
-// (any other choice makes the projected relation a strict non-subset of the
-// view, so no world uses it). A world is then consistent iff the T target
-// ids are all covered by the current digit choices, which we track with a
-// count-per-id multiset updated incrementally on every odometer step.
-// ----------------------------------------------------------------------------
-
-// Read-only description of the pruned candidate space, shared by all shards.
-struct PrunedInstance {
-  int n = 0;            // input slots
-  int32_t num_targets = 0;
-  // codes[i] = feasible output codes of slot i; tids[i][j] = target id of
-  // the visible projection induced by choosing codes[i][j] for slot i.
-  std::vector<std::vector<int32_t>> codes;
-  std::vector<std::vector<int32_t>> tids;
-};
-
-// Union view of which (slot, feasible-index) pairs appeared in a consistent
-// world, shared across shards so the Γ short-circuit can fire on the global
-// OUT sets. Marks are rare (bounded by Σ_i |feasible_i| per shard), so a
-// single mutex is fine.
-struct SeenUnion {
-  explicit SeenUnion(const PrunedInstance& inst, int64_t gamma_target) {
-    seen.reserve(inst.codes.size());
-    for (const auto& c : inst.codes) seen.emplace_back(c.size(), 0);
-    if (gamma_target > 0) {
-      remaining.assign(inst.codes.size(), gamma_target);
-      slots_below = static_cast<int>(inst.codes.size());
-    }
-  }
-
-  // Records (slot, j); when a Γ target is set and every slot's distinct
-  // count reaches it, flips `stop`.
-  void Mark(int slot, int32_t j, std::atomic<bool>* stop) {
-    std::lock_guard<std::mutex> lock(mu);
-    uint8_t& s = seen[static_cast<size_t>(slot)][static_cast<size_t>(j)];
-    if (s) return;
-    s = 1;
-    if (!remaining.empty() &&
-        --remaining[static_cast<size_t>(slot)] == 0 &&
-        --slots_below == 0) {
-      stop->store(true, std::memory_order_relaxed);
-    }
-  }
-
-  std::mutex mu;
-  std::vector<std::vector<uint8_t>> seen;
-  std::vector<int64_t> remaining;  // per slot: marks left to reach Γ
-  int slots_below = 0;             // slots still short of Γ
-};
-
-struct ShardResult {
-  int64_t num_worlds = 0;
-};
-
-// Walks the sub-space where slot 0's feasible index runs over [begin, end)
-// and every other slot runs over its full feasible list. Slot 0 is the
-// most-significant digit, so shards are contiguous ranges of the global
-// walk. The covered-target multiset is maintained incrementally: one digit
-// changes per step (amortized O(1) updates).
-void WalkShard(const PrunedInstance& inst, int64_t begin, int64_t end,
-               SeenUnion* seen_union, std::atomic<bool>* stop,
-               const ExecControl* control, ShardResult* out) {
-  if (begin >= end) return;
-  const int n = inst.n;
-  std::vector<int32_t> idx(static_cast<size_t>(n), 0);
-  idx[0] = static_cast<int32_t>(begin);
-
-  std::vector<int32_t> counts(static_cast<size_t>(inst.num_targets), 0);
-  int32_t uncovered = inst.num_targets;
-  auto cover = [&](int32_t tid) {
-    if (counts[static_cast<size_t>(tid)]++ == 0) --uncovered;
-  };
-  auto uncover = [&](int32_t tid) {
-    if (--counts[static_cast<size_t>(tid)] == 0) ++uncovered;
-  };
-  for (int i = 0; i < n; ++i) {
-    cover(inst.tids[static_cast<size_t>(i)][static_cast<size_t>(idx[i])]);
-  }
-
-  // Shard-local first-seen flags: avoid re-locking the union for pairs this
-  // shard already reported. Once every pair is seen the marking loop is
-  // skipped entirely.
-  std::vector<std::vector<uint8_t>> local_seen;
-  int64_t unseen_pairs = 0;
-  local_seen.reserve(static_cast<size_t>(n));
-  for (const auto& c : inst.codes) {
-    local_seen.emplace_back(c.size(), 0);
-    unseen_pairs += static_cast<int64_t>(c.size());
-  }
-
-  for (;;) {
-    if (stop->load(std::memory_order_relaxed)) return;
-    if (control != nullptr && control->Expired()) {
-      stop->store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (uncovered == 0) {
-      ++out->num_worlds;
-      if (unseen_pairs > 0) {
-        for (int i = 0; i < n; ++i) {
-          uint8_t& s =
-              local_seen[static_cast<size_t>(i)][static_cast<size_t>(idx[i])];
-          if (!s) {
-            s = 1;
-            --unseen_pairs;
-            seen_union->Mark(i, idx[static_cast<size_t>(i)], stop);
-          }
-        }
-      }
-    }
-    // Advance one digit: slots 1..n-1 cycle fastest, slot 0 last (within
-    // this shard's [begin, end) range).
-    int d = n > 1 ? 1 : 0;
-    for (;;) {
-      const auto& tids_d = inst.tids[static_cast<size_t>(d)];
-      uncover(tids_d[static_cast<size_t>(idx[static_cast<size_t>(d)])]);
-      if (d == 0) {
-        if (++idx[0] == end) return;  // shard exhausted
-        cover(tids_d[static_cast<size_t>(idx[0])]);
-        break;
-      }
-      if (++idx[static_cast<size_t>(d)] <
-          static_cast<int32_t>(inst.codes[static_cast<size_t>(d)].size())) {
-        cover(tids_d[static_cast<size_t>(idx[static_cast<size_t>(d)])]);
-        break;
-      }
-      idx[static_cast<size_t>(d)] = 0;
-      cover(tids_d[0]);
-      if (++d == n) d = 0;  // carry into the next digit, slot 0 last
-    }
-  }
-}
-
 }  // namespace
 
 int64_t StandaloneWorlds::MinOutSize() const {
@@ -212,190 +74,6 @@ int64_t StandaloneWorlds::MinOutSize() const {
     min_out = std::min(min_out, static_cast<int64_t>(outs.size()));
   }
   return min_out;
-}
-
-StandaloneWorlds EnumerateStandaloneWorlds(const Relation& rel,
-                                           const std::vector<AttrId>& inputs,
-                                           const std::vector<AttrId>& outputs,
-                                           const Bitset64& visible,
-                                           const EnumerationOptions& opts) {
-  MaterializedRowSupplier rows(rel);
-  return EnumerateStandaloneWorlds(&rows, inputs, outputs, visible, opts);
-}
-
-StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
-                                           const std::vector<AttrId>& inputs,
-                                           const std::vector<AttrId>& outputs,
-                                           const Bitset64& visible,
-                                           const EnumerationOptions& opts) {
-  StandaloneWorlds result;
-  const ExecControl* control = opts.control;
-  if (control != nullptr && control->ExpiredNow()) {
-    result.status = control->Check();
-    return result;
-  }
-  const Schema& row_schema = rows->schema();
-  const AttributeCatalog& catalog = *row_schema.catalog();
-
-  const std::vector<int> vis_in_pos = VisiblePositions(inputs, visible);
-  const std::vector<int> vis_out_pos = VisiblePositions(outputs, visible);
-
-  // Row positions of the module attributes within the supplier's schema.
-  std::vector<int> in_pos, out_pos;
-  for (AttrId id : inputs) {
-    const int p = row_schema.PositionOf(id);
-    PV_CHECK_MSG(p >= 0, "supplier schema misses input attr " << id);
-    in_pos.push_back(p);
-  }
-  for (AttrId id : outputs) {
-    const int p = row_schema.PositionOf(id);
-    PV_CHECK_MSG(p >= 0, "supplier schema misses output attr " << id);
-    out_pos.push_back(p);
-  }
-
-  // One streaming pass interning (a) the distinct inputs of R — slot i owns
-  // input TupleOf(i) — and (b) the target view: every distinct
-  // (vis_in ++ vis_out) projection, as dense target ids.
-  TupleInterner input_interner;
-  TupleInterner target_interner;
-  {
-    std::vector<Value> block;
-    const size_t arity = static_cast<size_t>(row_schema.arity());
-    Tuple x(inputs.size()), v;
-    rows->Reset();
-    int64_t got;
-    while ((got = rows->NextBlock(&block)) > 0) {
-      if (control != nullptr && control->ExpiredNow()) {
-        result.status = control->Check();
-        return result;
-      }
-      for (int64_t r = 0; r < got; ++r) {
-        const Value* row = &block[static_cast<size_t>(r) * arity];
-        for (size_t j = 0; j < in_pos.size(); ++j) {
-          x[j] = row[in_pos[j]];
-        }
-        input_interner.Intern(x);
-        v.clear();
-        for (int p : vis_in_pos) v.push_back(x[static_cast<size_t>(p)]);
-        for (int p : vis_out_pos) {
-          v.push_back(row[out_pos[static_cast<size_t>(p)]]);
-        }
-        target_interner.Intern(v);
-      }
-    }
-  }
-  const int n = input_interner.size();
-  if (n == 0) return result;
-
-  std::vector<int> out_radices;
-  for (AttrId id : outputs) out_radices.push_back(catalog.DomainSize(id));
-  int64_t range = 1;
-  for (int r : out_radices) range = SaturatingMul(range, r);
-  // Candidate-space guards: library callers keep the historical
-  // PV_CHECK-abort (a programming error in a batch script), but in service
-  // mode (an ExecControl is attached) an oversized request is external
-  // input and must come back as a typed RESOURCE_EXHAUSTED status.
-  if (range > std::numeric_limits<int>::max() || range > opts.max_candidates) {
-    if (control != nullptr) {
-      result.status = Status::ResourceExhausted(
-          "standalone world space too large: output range " +
-          std::to_string(range));
-      return result;
-    }
-    // The per-slot feasibility scan materializes O(|Range|) tuples and walks
-    // n*|Range| codes; since the pruned space satisfies ∏|feasible_i| ≤ ...
-    // only after the scan, bound the scan itself by the caller's budget
-    // (|Range| ≤ |Range|^N, so this rejects nothing the naive guard allowed).
-    PV_CHECK_MSG(range <= std::numeric_limits<int>::max(),
-                 "output range too large for world enumeration");
-    PV_CHECK_MSG(range <= opts.max_candidates,
-                 "standalone world space too large: output range " << range);
-  }
-  result.naive_candidates = SaturatingPow(range, n);
-
-  // Visible-output fragment of every output code, computed once and shared
-  // by all slots' feasibility scans.
-  std::vector<Tuple> vis_out_of_code(static_cast<size_t>(range));
-  for (int64_t code = 0; code < range; ++code) {
-    Tuple y = DecodeMixedRadix(code, out_radices);
-    Tuple& v = vis_out_of_code[static_cast<size_t>(code)];
-    v.reserve(vis_out_pos.size());
-    for (int p : vis_out_pos) v.push_back(y[static_cast<size_t>(p)]);
-  }
-
-  // Per-slot pruning: keep only codes whose visible projection occurs in
-  // the target. Everything else can never appear in a consistent world.
-  PrunedInstance inst;
-  inst.n = n;
-  inst.num_targets = target_interner.size();
-  inst.codes.resize(static_cast<size_t>(n));
-  inst.tids.resize(static_cast<size_t>(n));
-  result.pruned_candidates = 1;
-  for (int i = 0; i < n; ++i) {
-    if (control != nullptr && control->ExpiredNow()) {
-      result.status = control->Check();
-      return result;
-    }
-    const Tuple& x = input_interner.TupleOf(i);
-    Tuple v;
-    v.reserve(vis_in_pos.size() + vis_out_pos.size());
-    for (int p : vis_in_pos) v.push_back(x[static_cast<size_t>(p)]);
-    const size_t prefix = v.size();
-    for (int64_t code = 0; code < range; ++code) {
-      v.resize(prefix);
-      const Tuple& tail = vis_out_of_code[static_cast<size_t>(code)];
-      v.insert(v.end(), tail.begin(), tail.end());
-      int32_t tid = target_interner.Find(v);
-      if (tid < 0) continue;
-      inst.codes[static_cast<size_t>(i)].push_back(static_cast<int32_t>(code));
-      inst.tids[static_cast<size_t>(i)].push_back(tid);
-    }
-    result.pruned_candidates = SaturatingMul(
-        result.pruned_candidates,
-        static_cast<int64_t>(inst.codes[static_cast<size_t>(i)].size()));
-  }
-  if (result.pruned_candidates > opts.max_candidates) {
-    if (control != nullptr) {
-      result.status = Status::ResourceExhausted(
-          "standalone world space too large after pruning: " +
-          std::to_string(result.pruned_candidates));
-      return result;
-    }
-    PV_CHECK_MSG(result.pruned_candidates <= opts.max_candidates,
-                 "standalone world space too large after pruning: "
-                     << result.pruned_candidates);
-  }
-  if (result.pruned_candidates == 0) return result;  // some slot infeasible
-
-  // Shard the walk over slot 0's feasible codes.
-  const int64_t slot0 = static_cast<int64_t>(inst.codes[0].size());
-  int threads = ResolveThreads(opts.num_threads);
-  if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
-  const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
-
-  SeenUnion seen_union(inst, opts.gamma);
-  std::atomic<bool> stop(false);
-  std::vector<ShardResult> partials(static_cast<size_t>(shards));
-  RunShards(slot0, shards, /*shared=*/nullptr,
-            [&](int shard, int64_t begin, int64_t end) {
-              WalkShard(inst, begin, end, &seen_union, &stop, control,
-                        &partials[static_cast<size_t>(shard)]);
-            });
-  for (const ShardResult& p : partials) result.num_worlds += p.num_worlds;
-  result.early_stopped = stop.load();
-  if (control != nullptr) result.status = control->Check();
-
-  // Materialize OUT sets from the union of seen (slot, code) pairs.
-  for (int i = 0; i < n; ++i) {
-    const Tuple& x = input_interner.TupleOf(i);
-    const auto& seen = seen_union.seen[static_cast<size_t>(i)];
-    for (size_t j = 0; j < seen.size(); ++j) {
-      if (!seen[j]) continue;
-      result.out_sets[x].insert(DecodeMixedRadix(
-          inst.codes[static_cast<size_t>(i)][j], out_radices));
-    }
-  }
-  return result;
 }
 
 StandaloneWorlds EnumerateStandaloneWorldsNaive(
@@ -423,7 +101,6 @@ StandaloneWorlds EnumerateStandaloneWorldsNaive(
 
   int64_t candidates = SaturatingPow(range, n);
   result.naive_candidates = candidates;
-  result.pruned_candidates = candidates;
   PV_CHECK_MSG(candidates <= max_candidates,
                "standalone world space too large: " << candidates);
 
@@ -469,19 +146,6 @@ StandaloneWorlds EnumerateStandaloneWorldsNaive(
     }
   } while (counter.Advance());
   return result;
-}
-
-bool IsStandaloneSafeByEnumeration(const Relation& rel,
-                                   const std::vector<AttrId>& inputs,
-                                   const std::vector<AttrId>& outputs,
-                                   const Bitset64& visible, int64_t gamma,
-                                   EnumerationOptions opts) {
-  PV_CHECK_MSG(gamma >= 1, "gamma must be >= 1");
-  opts.gamma = gamma;
-  StandaloneWorlds worlds =
-      EnumerateStandaloneWorlds(rel, inputs, outputs, visible, opts);
-  if (worlds.early_stopped) return true;  // every OUT set reached Γ
-  return worlds.MinOutSize() >= gamma;
 }
 
 int64_t WorkflowWorlds::MinOutSize(int module_index) const {
@@ -814,8 +478,9 @@ struct WfInstance {
   bool collect_distinct = true;
 };
 
-// Union of seen (pair, feasible-index) marks shared across shards, with the
-// Γ short-circuit counters (mirrors the standalone SeenUnion).
+// Union of seen (pair, feasible-index) marks shared across shards, so the
+// Γ short-circuit fires on the global OUT sets. Marks are rare (bounded by
+// the feasible codes per shard), so a single mutex is fine.
 struct WfSeenUnion {
   WfSeenUnion(const WfInstance& inst, int64_t gamma_target) {
     seen.reserve(inst.inputs.size());

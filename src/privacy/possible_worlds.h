@@ -3,20 +3,15 @@
 // OUT sets from first principles, with no reliance on the paper's counting
 // shortcuts.
 //
-// Two standalone enumerators are provided. EnumerateStandaloneWorldsNaive is
-// the original odometer over the full |Range|^N function space, retained as
-// the reference implementation the equivalence tests compare against.
-// EnumerateStandaloneWorlds is the production engine: it interns visible
-// projections to dense ids, prunes each input slot to the output codes whose
-// visible projection actually occurs in the target view (shrinking the walk
-// from |Range|^N to ∏_i |feasible_i|), maintains the projected multiset
-// incrementally as the odometer advances one digit at a time, optionally
-// short-circuits once every input's OUT set has reached Γ, and can shard the
-// walk over the first slot's feasible codes on the task-graph executor.
-// Both compute byte-identical num_worlds / out_sets on full runs.
+// The standalone side is the specification only:
+// EnumerateStandaloneWorldsNaive is the odometer over the full |Range|^N
+// function space. Γ-standalone-privacy itself is decided exactly by
+// Algorithm 2 (privacy/standalone_privacy.h) — necessary and sufficient by
+// Lemma 2 and the flip construction — and the equivalence suites pin that
+// test to this enumerator's OUT sets.
 //
-// The workflow side mirrors this: EnumerateWorkflowWorldsNaive is the joint
-// odometer over every free module's full function space (the
+// The workflow side has no such shortcut: EnumerateWorkflowWorldsNaive is
+// the joint odometer over every free module's full function space (the
 // specification), and EnumerateWorkflowWorlds is the one production engine
 // — shared per-workflow tables, the feasible-set fixpoint pruning of
 // privacy/feasible_sets.h, an incremental and shardable walk.
@@ -31,55 +26,21 @@
 
 #include "common/engine_config.h"
 #include "common/exec_control.h"
-#include "relation/row_supplier.h"
+#include "relation/relation.h"
 #include "workflow/workflow.h"
 
 namespace provview {
 
 class TaskGraphExecutor;
 
-/// Tuning knobs of the optimized standalone enumerator.
-struct EnumerationOptions {
-  /// Abort if the (pruned) candidate space exceeds this.
-  int64_t max_candidates = 40000000;
-  /// When > 0, stop enumerating as soon as every input's OUT set holds at
-  /// least this many outputs — the Γ short-circuit used by the brute-force
-  /// safety check. The returned num_worlds is then only a lower bound and
-  /// `early_stopped` is set.
-  int64_t gamma = 0;
-  /// Worker threads for sharded enumeration. 0 = hardware concurrency,
-  /// 1 = fully sequential. Shards split the first slot's feasible codes;
-  /// results are merged by commutative sums/unions, so the outcome is
-  /// deterministic regardless of thread count.
-  int num_threads = 1;
-  /// Pruned spaces at or below this size always run sequentially (the
-  /// executor overhead would dominate).
-  int64_t min_parallel_candidates = 4096;
-  /// Optional deadline/cancellation/memory-budget token (service mode).
-  /// When set, the walk polls it at chunk boundaries and a tripped control
-  /// stops the enumeration with a typed `status` (DEADLINE_EXCEEDED /
-  /// RESOURCE_EXHAUSTED) instead of aborting — including the candidate-space
-  /// guards, which PV_CHECK-abort only when no control is attached.
-  const ExecControl* control = nullptr;
-};
-
 /// Result of enumerating Worlds(R, V) for a standalone module.
 struct StandaloneWorlds {
   /// Number of candidate functions on π_I(R) consistent with the view.
-  /// A lower bound if `early_stopped` is set.
   int64_t num_worlds = 0;
   /// OUT_{x,m} per input x (keys aligned with the module's input list).
   std::map<Tuple, std::set<Tuple>> out_sets;
-  /// True iff the Γ short-circuit fired before the walk finished.
-  bool early_stopped = false;
-  /// ∏_i |feasible_i|: candidates actually walked by the pruned engine.
-  int64_t pruned_candidates = 0;
-  /// |Range|^N: candidates the naive engine would walk.
+  /// |Range|^N: candidates the odometer walked.
   int64_t naive_candidates = 0;
-  /// OK on a completed run. DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED when the
-  /// attached ExecControl tripped: counts and OUT sets are then the partial
-  /// state at the stop point (stats, not verdicts).
-  Status status;
 
   /// min_x |OUT_{x,m}| — the exact largest safe Γ. INT64_MAX when no input.
   int64_t MinOutSize() const;
@@ -87,43 +48,15 @@ struct StandaloneWorlds {
 
 /// Enumerates every total function f from π_I(R) into Range whose induced
 /// relation projects onto V exactly like R does, i.e. all members of
-/// Worlds(R, V) that keep R's input set. (By the flip construction these
-/// realize every achievable OUT value; see standalone_privacy.h.)
-/// Pruned + incremental + optionally parallel; aborts if the pruned space
-/// ∏_i |feasible_i| exceeds `opts.max_candidates`.
-StandaloneWorlds EnumerateStandaloneWorlds(
-    const Relation& rel, const std::vector<AttrId>& inputs,
-    const std::vector<AttrId>& outputs, const Bitset64& visible,
-    const EnumerationOptions& opts = {});
-
-/// Core entry point: sources rows from any supplier (materialized table or
-/// module function), so the engine no longer requires an eagerly built
-/// FullRelation. The Relation overload above wraps the rows in a
-/// MaterializedRowSupplier and delegates here.
-StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
-                                           const std::vector<AttrId>& inputs,
-                                           const std::vector<AttrId>& outputs,
-                                           const Bitset64& visible,
-                                           const EnumerationOptions& opts);
-
-/// The original unpruned odometer over |Range|^N candidate functions.
-/// Exponentially slower than EnumerateStandaloneWorlds; kept as the
-/// reference implementation for the equivalence test suite and the
-/// speedup benchmarks. Aborts if |Range|^N exceeds `max_candidates`.
+/// Worlds(R, V) that keep R's input set (by the flip construction these
+/// realize every achievable OUT value; see standalone_privacy.h), with an
+/// unpruned odometer over the |Range|^N candidate functions. The reference
+/// Algorithm 2 is checked against; aborts if |Range|^N exceeds
+/// `max_candidates`.
 StandaloneWorlds EnumerateStandaloneWorldsNaive(
     const Relation& rel, const std::vector<AttrId>& inputs,
     const std::vector<AttrId>& outputs, const Bitset64& visible,
     int64_t max_candidates = 40000000);
-
-/// Brute-force Γ-standalone-privacy check via the pruned enumerator with the
-/// Γ short-circuit engaged: stops walking as soon as every input's OUT set
-/// reaches `gamma`. Semantically identical to (but exponentially slower
-/// than) Algorithm 2's IsStandaloneSafe; used to cross-check it.
-bool IsStandaloneSafeByEnumeration(const Relation& rel,
-                                   const std::vector<AttrId>& inputs,
-                                   const std::vector<AttrId>& outputs,
-                                   const Bitset64& visible, int64_t gamma,
-                                   EnumerationOptions opts = {});
 
 /// Result of enumerating functional worlds of a workflow.
 struct WorkflowWorlds {

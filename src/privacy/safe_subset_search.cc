@@ -43,7 +43,7 @@ void PickMinCost(const std::vector<Bitset64>& minimal,
 // Task count for one lattice level (or cell grid) on the task-graph path:
 // oversubscribe threads so work stealing can balance skewed rank ranges,
 // bounded so per-task overlay/log overhead stays negligible. Results and
-// stats do not depend on the count (rank-order absorb + log replay), only
+// stats do not depend on the count (rank-order log replay), only
 // wall-clock does.
 int LatticeTaskCount(int64_t total, int threads, int64_t min_parallel) {
   if (threads <= 1 || total <= min_parallel) return 1;
@@ -122,17 +122,19 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
     return minimal;
   }
 
-  // Task-graph walk. Per level: `prep` folds the previous level's staged
-  // results into the shared memo and `minimal`, then rank-range shard
-  // tasks walk their slice on O(1) overlays of the (now frozen) memo,
-  // each releasing an absorb task the moment it finishes. The absorb
-  // chain runs in rank order, replaying shard lookup logs into a staging
-  // overlay while later shards still compute, so no level pays a barrier.
-  // Discoveries concatenate in rank order and log replay reproduces
-  // sequential accounting, so results, their order, and SafeSearchStats
-  // are all byte-identical to the sequential walk at any thread count.
+  // Task-graph walk. Per level: `prep` folds the previous level's
+  // discoveries into `minimal`, then rank-range shard tasks walk their
+  // slice on O(1) overlays of the memo, each releasing a replay task the
+  // moment it finishes. The replay chain runs in rank order, replaying
+  // shard lookup logs straight into the memo while later shards still
+  // compute, so no level pays a barrier. Shards never write the memo and
+  // its cache is thread-safe, so they may read it mid-replay: a shard only
+  // ever sees verdicts of replays that precede its own. Discoveries
+  // concatenate in rank order and log replay reproduces sequential
+  // accounting, so results, their order, and SafeSearchStats are all
+  // byte-identical to the sequential walk at any thread count.
   struct Shard {
-    std::unique_ptr<SafetyMemo> memo;  // overlay, frozen base
+    std::unique_ptr<SafetyMemo> memo;  // overlay of the shared memo
     SafetyMemo::LookupLog log;
     std::vector<Bitset64> safe;
     int64_t examined = 0;
@@ -141,14 +143,13 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
   };
   struct Level {
     int64_t total = 0;
-    std::unique_ptr<SafetyMemo> staging;  // absorb target, overlay of memo
     std::vector<Shard> shards;
     std::vector<Bitset64> discoveries;  // rank-order concatenation
   };
   std::vector<Level> levels(static_cast<size_t>(k) + 1);
 
   TaskGraph graph;
-  TaskGraph::TaskId chain = -1;  // last absorb of the previous level
+  TaskGraph::TaskId chain = -1;  // last replay of the previous level
   for (int size = 0; size <= k; ++size) {
     Level* level = &levels[static_cast<size_t>(size)];
     level->total = BinomialCoefficient(k, size);
@@ -164,11 +165,9 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
     const TaskGraph::TaskId prep = graph.Add(
         [&, level, prev] {
           if (prev != nullptr) {
-            memo->Absorb(*prev->staging);
             minimal.insert(minimal.end(), prev->discoveries.begin(),
                            prev->discoveries.end());
           }
-          level->staging = memo->NewOverlay();
           for (Shard& sh : level->shards) sh.memo = memo->NewOverlay();
         },
         chain >= 0 ? std::vector<TaskGraph::TaskId>{chain}
@@ -203,7 +202,7 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
       chain = graph.Add(
           [&, sh, level] {
             stats->subsets_examined += sh->examined;
-            level->staging->AbsorbLog(sh->log, stats);
+            memo->AbsorbLog(sh->log, stats);
             level->discoveries.insert(level->discoveries.end(),
                                       sh->safe.begin(), sh->safe.end());
             sh->memo.reset();  // drop shard scratch as the chain advances
@@ -214,10 +213,9 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
   }
   graph.Add(
       [&] {
-        Level* last = &levels[static_cast<size_t>(k)];
-        memo->Absorb(*last->staging);
-        minimal.insert(minimal.end(), last->discoveries.begin(),
-                       last->discoveries.end());
+        const Level& last = levels[static_cast<size_t>(k)];
+        minimal.insert(minimal.end(), last.discoveries.begin(),
+                       last.discoveries.end());
       },
       {chain});
   // A tripped control skips all remaining bodies, so fold tasks stop
@@ -364,10 +362,9 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
       }
     }
   } else {
-    // Cell-range tasks on overlays of the frozen memo; the absorb chain
-    // replays lookup logs in range (= row-major) order into a staging
-    // overlay, folded into the memo by the final task. Same grid, same
-    // stats as the sequential loop.
+    // Cell-range tasks on overlays of the memo; the replay chain replays
+    // lookup logs in range (= row-major) order straight into the memo.
+    // Same grid, same stats as the sequential loop.
     struct CellShard {
       std::unique_ptr<SafetyMemo> memo;
       SafetyMemo::LookupLog log;
@@ -377,7 +374,6 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
     };
     const int tasks = LatticeTaskCount(cells, threads, 1);
     std::vector<CellShard> cell_shards(static_cast<size_t>(tasks));
-    std::unique_ptr<SafetyMemo> staging = memo->NewOverlay();
     TaskGraph graph;
     TaskGraph::TaskId chain = -1;
     for (int s = 0; s < tasks; ++s) {
@@ -399,14 +395,13 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
       chain = graph.Add(
           [&, sh] {
             local_stats.subsets_examined += sh->examined;
-            staging->AbsorbLog(sh->log, &local_stats);
+            memo->AbsorbLog(sh->log, &local_stats);
             sh->memo.reset();
             sh->log = SafetyMemo::LookupLog{};
           },
           chain >= 0 ? std::vector<TaskGraph::TaskId>{work, chain}
                      : std::vector<TaskGraph::TaskId>{work});
     }
-    graph.Add([&] { memo->Absorb(*staging); }, {chain});
     std::unique_ptr<TaskGraphExecutor> owned;
     (void)graph.Run(ExecutorFor(threads, opts.executor, &owned), control);
   }

@@ -34,12 +34,11 @@ class TaskGraphExecutor;
 /// At one resolved thread the walk is the plain sequential loop, the
 /// reference semantics. Above it, rank-range tasks run on the
 /// dependency-aware TaskGraphExecutor over O(1) SafetyMemo overlays of the
-/// frozen level-start memo, and a per-level absorb chain replays each
-/// shard's lookup log in rank order the moment the shard finishes
-/// (overlapping memo merges with later shards' compute instead of paying a
-/// level barrier). Log replay is the one memo read path, so
-/// SafeSearchStats come out byte-identical to the sequential walk at every
-/// thread count.
+/// memo, and a replay chain replays each shard's lookup log into the memo
+/// in rank order the moment the shard finishes (overlapping memo merges
+/// with later shards' compute instead of paying a level barrier). Log
+/// replay is the one memo merge path, so SafeSearchStats come out
+/// byte-identical to the sequential walk at every thread count.
 ///
 /// A control trip makes the searches return early with whatever they have
 /// (MinimalSafeHiddenSets: the minimal sets of fully completed levels;

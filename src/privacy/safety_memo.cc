@@ -171,15 +171,6 @@ std::unique_ptr<SafetyMemo> SafetyMemo::NewOverlay() const {
   return overlay;
 }
 
-void SafetyMemo::Absorb(const SafetyMemo& worker) {
-  for (const auto& [sig, gamma] : worker.signature_staging_) {
-    StoreSignature(sig, gamma, nullptr);
-  }
-  for (const auto& [pkey, gamma] : worker.projection_staging_) {
-    StoreProjection(pkey, gamma, nullptr);
-  }
-}
-
 std::string SafetyMemo::SignatureKeyBytes(const SignatureKey& sig) const {
   std::string bytes;
   bytes.reserve(8 + sig.first.blocks().size() * 8);

@@ -27,11 +27,12 @@
 // into a cache namespace (a private unbounded cache by default, or a
 // shared — possibly byte-budgeted — service cache bound at construction).
 // The memo itself is a thin view over that store: root memos are safe to
-// read concurrently (the cache is sharded and striped-locked; ScanProjection
-// only reads the row backend), while NewOverlay() still hands workers O(1)
-// private staging views whose lookup logs replay in rank order, keeping
-// sharded-search results and SafeSearchStats byte-identical to the
-// sequential walk at any thread count. Under a byte budget the cache may
+// read and write concurrently (the cache is sharded and striped-locked;
+// ScanProjection only reads the row backend), while NewOverlay() still
+// hands workers O(1) private views whose lookup logs replay into the root
+// in rank order (AbsorbLog, the one merge path), keeping sharded-search
+// results and SafeSearchStats byte-identical to the sequential walk at any
+// thread count. Under a byte budget the cache may
 // evict: eviction only forgets a verdict (it is recomputed on the next
 // miss), never corrupts one.
 //
@@ -124,17 +125,14 @@ class SafetyMemo {
   SafetyMemo& operator=(const SafetyMemo&) = delete;
 
   /// O(1) worker view for the sharded searches: shares the row backend
-  /// and reads this memo's verdicts through a frozen-base pointer, while
-  /// its own inserts stay local (a delta, merged back later via Absorb or
-  /// replayed with AbsorbLog). The base must not be mutated while overlays
-  /// read it — the searches freeze it for the span of a lattice level. The
-  /// overlay itself is single-threaded: one per worker.
+  /// and reads this memo's verdicts through a base pointer, while its own
+  /// inserts stay local; the worker's lookup log is what the caller merges
+  /// back, with AbsorbLog on the base. The base may take AbsorbLog replays
+  /// while overlays read it (its cache is thread-safe, and verdicts are
+  /// deterministic, so a read only decides whether the worker reuses a
+  /// verdict or recomputes it). The overlay itself is single-threaded: one
+  /// per worker.
   std::unique_ptr<SafetyMemo> NewOverlay() const;
-
-  /// Merges an overlay's own verdicts back (deterministic values, so
-  /// first-wins insertion is exact). Callers Absorb each shard in shard
-  /// order, keeping the merged store identical across thread counts.
-  void Absorb(const SafetyMemo& worker);
 
   /// Ordered record of the lookups one worker performed, replayable with
   /// AbsorbLog. Opaque to callers; definition follows the class.
@@ -209,7 +207,7 @@ class SafetyMemo {
   std::string ProjectionKeyBytes(const ProjectionKey& pkey) const;
 
   // Store lookups/inserts: overlays consult their local staging maps then
-  // fall through to the frozen base; roots go to the cache namespace.
+  // fall through to the base; roots go to the cache namespace.
   bool FindSignature(const SignatureKey& sig, int64_t* gamma) const;
   bool FindProjection(const ProjectionKey& pkey, int64_t* gamma) const;
   void StoreSignature(const SignatureKey& sig, int64_t gamma,
@@ -217,7 +215,7 @@ class SafetyMemo {
   void StoreProjection(const ProjectionKey& pkey, int64_t gamma,
                        const ExecControl* control);
 
-  // Frozen read-only fallback for overlays; nullptr for root memos.
+  // Read-only fallback for overlays; nullptr for root memos.
   const SafetyMemo* base_ = nullptr;
 
   // Verdict store of a root memo (overlays keep local maps instead).

@@ -36,49 +36,6 @@ int64_t DomainProduct(const AttributeCatalog& catalog,
 
 }  // namespace
 
-int64_t MaxStandaloneGamma(const Relation& rel,
-                           const std::vector<AttrId>& inputs,
-                           const std::vector<AttrId>& outputs,
-                           const Bitset64& visible) {
-  if (rel.empty()) return kMax;
-  const AttributeCatalog& catalog = *rel.schema().catalog();
-  std::vector<AttrId> vis_in, hid_in, vis_out, hid_out;
-  SplitByVisibility(inputs, visible, &vis_in, &hid_in);
-  SplitByVisibility(outputs, visible, &vis_out, &hid_out);
-  const int64_t hidden_ext = DomainProduct(catalog, hid_out);
-
-  // Distinct visible-output values per visible-input group, on interned ids:
-  // each row becomes a (group id, output id) int pair, so the grouping is a
-  // sort of integer pairs instead of a map of tuple sets. Duplicate rows
-  // collapse with the duplicate pairs, so no up-front row dedup is needed.
-  TupleInterner in_interner, out_interner;
-  std::vector<std::pair<int32_t, int32_t>> pairs;
-  pairs.reserve(rel.rows().size());
-  for (const Tuple& row : rel.rows()) {
-    pairs.emplace_back(in_interner.Intern(rel.ProjectRow(row, vis_in)),
-                       out_interner.Intern(rel.ProjectRow(row, vis_out)));
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  int64_t min_out = kMax;
-  for (size_t i = 0; i < pairs.size();) {
-    size_t j = i;
-    while (j < pairs.size() && pairs[j].first == pairs[i].first) ++j;
-    min_out = std::min(
-        min_out, SaturatingMul(static_cast<int64_t>(j - i), hidden_ext));
-    i = j;
-  }
-  return min_out;
-}
-
-bool IsStandaloneSafe(const Relation& rel, const std::vector<AttrId>& inputs,
-                      const std::vector<AttrId>& outputs,
-                      const Bitset64& visible, int64_t gamma) {
-  PV_CHECK_MSG(gamma >= 1, "gamma must be >= 1");
-  return MaxStandaloneGamma(rel, inputs, outputs, visible) >= gamma;
-}
-
 int64_t ScanVisibleGroups(RowSupplier* rows, const std::vector<int>& in_pos,
                           const std::vector<int>& out_pos,
                           const std::function<void(uint64_t)>& on_new_pair) {
@@ -154,13 +111,24 @@ bool IsStandaloneSafe(RowSupplier* rows, const std::vector<AttrId>& inputs,
   return MaxStandaloneGamma(rows, inputs, outputs, visible) >= gamma;
 }
 
+int64_t MaxStandaloneGamma(const Relation& rel,
+                           const std::vector<AttrId>& inputs,
+                           const std::vector<AttrId>& outputs,
+                           const Bitset64& visible) {
+  MaterializedRowSupplier rows(rel);
+  return MaxStandaloneGamma(&rows, inputs, outputs, visible);
+}
+
+bool IsStandaloneSafe(const Relation& rel, const std::vector<AttrId>& inputs,
+                      const std::vector<AttrId>& outputs,
+                      const Bitset64& visible, int64_t gamma) {
+  MaterializedRowSupplier rows(rel);
+  return IsStandaloneSafe(&rows, inputs, outputs, visible, gamma);
+}
+
 int64_t MaxStandaloneGamma(const Module& module, const Bitset64& visible,
                            int64_t materialize_threshold) {
-  RelationView view = module.View(materialize_threshold);
-  if (view.materialized()) {
-    return MaxStandaloneGamma(*view.relation(), module.inputs(),
-                              module.outputs(), visible);
-  }
+  const RelationView view = module.View(materialize_threshold);
   std::unique_ptr<RowSupplier> rows = view.NewSupplier();
   return MaxStandaloneGamma(rows.get(), module.inputs(), module.outputs(),
                             visible);

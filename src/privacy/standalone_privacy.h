@@ -7,8 +7,13 @@
 // visible-input group of R contains at least Γ / ∏_{a∈O\V}|Δ_a| distinct
 // visible-output values — each such value extends to ∏_{a∈O\V}|Δ_a| full
 // outputs by Lemma 2 + the flip construction. The test is exact (necessary
-// and sufficient; §3.2, Appendix A.4) and runs in O(N log N) per call after
-// materializing R.
+// and sufficient; §3.2, Appendix A.4), so possible-worlds enumeration
+// (EnumerateStandaloneWorldsNaive) is only its specification.
+//
+// There is one implementation: a single streaming pass over a RowSupplier
+// (ScanVisibleGroups) whose state is bounded by the distinct visible
+// projections. The Relation and Module overloads only choose the row
+// source — a materialized relation or the module's function.
 #ifndef PROVVIEW_PRIVACY_STANDALONE_PRIVACY_H_
 #define PROVVIEW_PRIVACY_STANDALONE_PRIVACY_H_
 
@@ -27,6 +32,7 @@ namespace provview {
 ///   min over inputs x of |OUT_{x,m}|  (saturating at INT64_MAX).
 /// `visible` is a set over the catalog universe; attributes of the module
 /// outside `visible` are hidden. An empty relation yields INT64_MAX.
+/// Streams `rel` through the RowSupplier overload below.
 int64_t MaxStandaloneGamma(const Relation& rel,
                            const std::vector<AttrId>& inputs,
                            const std::vector<AttrId>& outputs,
@@ -51,12 +57,12 @@ int64_t ScanVisibleGroups(RowSupplier* rows, const std::vector<int>& in_pos,
                           const std::vector<int>& out_pos,
                           const std::function<void(uint64_t)>& on_new_pair);
 
-/// Streaming Algorithm-2 test: one pass over `rows` (any RowSupplier whose
-/// schema covers the module attributes), never materializing the relation.
-/// Memory scales with the number of distinct visible projections — the view
-/// the adversary actually sees — not with |Dom|, which is what lets modules
-/// past the 2^22 materialization wall certify. Identical verdicts to the
-/// Relation overload on every input.
+/// Streaming Algorithm-2 test, the one body every overload runs: one pass
+/// over `rows` (any RowSupplier whose schema covers the module attributes),
+/// never materializing the relation. Memory scales with the number of
+/// distinct visible projections — the view the adversary actually sees —
+/// not with |Dom|, which is what lets modules past the 2^22
+/// materialization wall certify.
 int64_t MaxStandaloneGamma(RowSupplier* rows, const std::vector<AttrId>& inputs,
                            const std::vector<AttrId>& outputs,
                            const Bitset64& visible);
@@ -65,8 +71,9 @@ bool IsStandaloneSafe(RowSupplier* rows, const std::vector<AttrId>& inputs,
                       const Bitset64& visible, int64_t gamma);
 
 /// Convenience overloads over the module relation. Domains of at most
-/// `materialize_threshold` rows use the materialized fast path; larger
-/// domains stream rows straight from the module's function (Module::View).
+/// `materialize_threshold` rows are read from the materialized relation;
+/// larger domains stream rows straight from the module's function
+/// (Module::View).
 int64_t MaxStandaloneGamma(
     const Module& module, const Bitset64& visible,
     int64_t materialize_threshold = Module::kDefaultMaterializeRows);

@@ -298,18 +298,17 @@ VerdictCache::Shard* VerdictCache::ShardFor(std::string_view full_key) const {
       .get();
 }
 
-uint32_t VerdictCache::RegisterNamespace(std::string label) {
+uint32_t VerdictCache::RegisterNamespace(std::string /*label*/) {
   std::lock_guard<std::mutex> g(ns_mu_);
-  namespace_labels_.push_back(std::move(label));
-  namespace_dropped_.push_back(false);
-  return static_cast<uint32_t>(namespace_labels_.size() - 1);
+  const uint32_t ns = next_namespace_++;
+  live_namespaces_.insert(ns);
+  return ns;
 }
 
 void VerdictCache::DropNamespace(uint32_t ns) {
   {
     std::lock_guard<std::mutex> g(ns_mu_);
-    if (ns >= namespace_dropped_.size() || namespace_dropped_[ns]) return;
-    namespace_dropped_[ns] = true;
+    if (live_namespaces_.erase(ns) == 0) return;
   }
   char prefix[4];
   EncodeNamespace(ns, prefix);
@@ -399,8 +398,7 @@ VerdictCacheStats VerdictCache::Stats() const {
   }
   {
     std::lock_guard<std::mutex> g(ns_mu_);
-    out.namespaces = static_cast<uint64_t>(std::count(
-        namespace_dropped_.begin(), namespace_dropped_.end(), false));
+    out.namespaces = static_cast<uint64_t>(live_namespaces_.size());
   }
   return out;
 }

@@ -35,6 +35,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace provview {
@@ -89,14 +90,15 @@ class VerdictCache {
   VerdictCache& operator=(const VerdictCache&) = delete;
 
   /// Reserves a fresh key-space partition (e.g. one per private module of
-  /// a registered workflow). `label` is diagnostic only.
+  /// a registered workflow). `label` only documents the call site; it is
+  /// not stored, so registration churn costs one live id, no more.
   uint32_t RegisterNamespace(std::string label);
 
   /// Erases every entry of namespace `ns` from every shard, releasing its
   /// measured bytes and per-class entry tallies (not counted as evictions),
-  /// and stops counting it as live. Ids are never reused; the caller must
-  /// not look up or insert under `ns` afterwards. Dropping twice is a
-  /// no-op.
+  /// and forgets the id, so a dropped namespace leaves nothing behind.
+  /// Ids are never reused; the caller must not look up or insert under
+  /// `ns` afterwards. Dropping twice is a no-op.
   void DropNamespace(uint32_t ns);
 
   /// True on a hit (LRU-promoting); bumps the per-class hit/miss counter.
@@ -131,8 +133,8 @@ class VerdictCache {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex ns_mu_;
-  std::vector<std::string> namespace_labels_;
-  std::vector<bool> namespace_dropped_;  // aligned with the labels
+  uint32_t next_namespace_ = 0;               // guarded by ns_mu_
+  std::unordered_set<uint32_t> live_namespaces_;  // guarded by ns_mu_
 };
 
 }  // namespace provview

@@ -1,10 +1,12 @@
 #include "secureview/workflow_exact.h"
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 
 #include "privacy/safety_memo.h"
+#include "privacy/verdict_cache.h"
 #include "secureview/from_workflow.h"
 
 namespace provview {
@@ -14,11 +16,11 @@ WorkflowExactResult SolveExactForWorkflow(const Workflow& workflow,
   WorkflowExactResult out;
 
   // One shared memo per private module, every one bound to its own
-  // namespace of one verdict cache, which the derivation fills.
-  std::shared_ptr<VerdictCache> cache = options.cache;
+  // namespace of one verdict cache private to this call, which the
+  // derivation fills.
   std::vector<std::shared_ptr<SafetyMemo>> memos;
   if (options.kind == ConstraintKind::kSet) {
-    if (cache == nullptr) cache = std::make_shared<VerdictCache>();
+    auto cache = std::make_shared<VerdictCache>();
     memos.resize(static_cast<size_t>(workflow.num_modules()));
     for (int i : workflow.PrivateModuleIndices()) {
       uint32_t ns = cache->RegisterNamespace(

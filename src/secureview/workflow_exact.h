@@ -6,8 +6,8 @@
 //            --(Theorem 4/8 certification)--> verified SvResult
 //
 // The requirement lists are derived through one SafetyMemo per private
-// module, each bound to its own namespace of one VerdictCache (the
-// caller's, or a private one). The B&B node oracle then answers module
+// module, each bound to its own namespace of one VerdictCache that the
+// call owns and releases on return. The B&B node oracle then answers module
 // satisfaction from those lists — the memo's minimal-safe-set antichain —
 // without going back to the cache. Every attribute no requirement option
 // uses is pinned visible before the search, and the winner is certified
@@ -16,10 +16,8 @@
 #define PROVVIEW_SECUREVIEW_WORKFLOW_EXACT_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "privacy/verdict_cache.h"
 #include "secureview/instance.h"
 #include "secureview/solvers.h"
 #include "workflow/workflow.h"
@@ -31,9 +29,6 @@ struct WorkflowExactOptions {
   ConstraintKind kind = ConstraintKind::kSet;
   /// Solver knobs (warm start, oracle, threads, deadline live in here).
   ExactOptions exact;
-  /// Shared verdict store; one namespace per private module is registered.
-  /// Null = a private unbounded cache owned by this call.
-  std::shared_ptr<VerdictCache> cache;
 };
 
 struct WorkflowExactResult {

@@ -91,7 +91,7 @@ TEST(NonBooleanDomainTest, CountingMatchesBruteForceOnMixedDomains) {
       if ((mask >> i) & 1u) visible.Set(i);
     }
     StandaloneWorlds worlds =
-        EnumerateStandaloneWorlds(rel, m->inputs(), m->outputs(), visible);
+        EnumerateStandaloneWorldsNaive(rel, m->inputs(), m->outputs(), visible);
     EXPECT_EQ(worlds.MinOutSize(),
               MaxStandaloneGamma(rel, m->inputs(), m->outputs(), visible))
         << visible.ToString();

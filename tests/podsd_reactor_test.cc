@@ -21,6 +21,7 @@
 
 #include "common/rng.h"
 #include "secureview/serialization.h"
+#include "server/admission.h"
 #include "server/client.h"
 #include "server/daemon.h"
 #include "server/handler.h"
@@ -347,6 +348,47 @@ TEST(PodsdReactorTest, ThousandIdleConnectionsBoundedThreads) {
   std::string body;
   EXPECT_FALSE(idle.front()->RecvResponse(&header, &body).ok());
   EXPECT_FALSE(idle.back()->RecvResponse(&header, &body).ok());
+}
+
+TEST(PodsdReactorTest, AdmissionControllerBoundsReleasesAndCountsRejections) {
+  AdmissionController gate(/*max_depth=*/10, /*memory_bytes=*/0);
+  EXPECT_EQ(gate.max_depth(), 10);
+  EXPECT_TRUE(gate.Admit(6).ok());
+  EXPECT_EQ(gate.depth(), 6);
+  const Status full = gate.Admit(5);  // 6 + 5 > 10
+  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(full.message().find("admission depth 6 of 10"), std::string::npos)
+      << full.message();
+  EXPECT_TRUE(gate.Admit(4).ok());
+  EXPECT_FALSE(gate.Admit(1).ok());  // full
+  gate.Release(4);
+  EXPECT_TRUE(gate.Admit(1).ok());
+  gate.Release(7);
+  EXPECT_EQ(gate.depth(), 0);
+  EXPECT_EQ(gate.peak_depth(), 10);
+  EXPECT_EQ(gate.rejected(), 2u);
+}
+
+TEST(PodsdReactorTest, AdmissionSlotReleasesOnEveryPath) {
+  AdmissionController gate(/*max_depth=*/4, /*memory_bytes=*/0);
+  ASSERT_TRUE(gate.Admit(3).ok());
+  {
+    AdmissionSlot slot(&gate, 3);
+    EXPECT_EQ(gate.depth(), 3);
+    // Move keeps a single owner.
+    AdmissionSlot moved(std::move(slot));
+    EXPECT_EQ(gate.depth(), 3);
+    AdmissionSlot assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(gate.depth(), 3);
+  }
+  EXPECT_EQ(gate.depth(), 0);
+  ASSERT_TRUE(gate.Admit(2).ok());
+  AdmissionSlot early(&gate, 2);
+  early.reset();
+  EXPECT_EQ(gate.depth(), 0);
+  early.reset();  // idempotent
+  EXPECT_EQ(gate.depth(), 0);
 }
 
 TEST(PodsdReactorTest, AdmissionSaturationIsTypedAndSurfacedInStat) {

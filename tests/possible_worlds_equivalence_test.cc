@@ -1,13 +1,21 @@
-// Equivalence suite for the pruned/interned/parallel possible-worlds engine:
-// on randomized small instances the optimized enumerator must return
-// byte-identical num_worlds and out_sets to the retained naive reference,
-// and the Γ short-circuit must agree with Algorithm 2.
+// Equivalence suite pinning the Algorithm-2 checker to its specification:
+// on randomized small instances both Algorithm-2 overloads (materialized
+// Relation and streaming RowSupplier) and the Module overload must return
+// the naive possible-worlds enumerator's min |OUT|, every per-input OUT set
+// (size and contents) and the same Γ verdict at every Γ — Lemma 2 and the
+// flip construction, checked by brute force.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "module/module_library.h"
 #include "privacy/possible_worlds.h"
 #include "privacy/standalone_privacy.h"
+#include "relation/row_supplier.h"
 
 namespace provview {
 namespace {
@@ -46,11 +54,43 @@ RandomInstance MakeInstance(int ki, int ko, int in_dom, int out_dom,
   return inst;
 }
 
-void ExpectIdentical(const StandaloneWorlds& naive,
-                     const StandaloneWorlds& fast, uint64_t seed) {
-  EXPECT_EQ(naive.num_worlds, fast.num_worlds) << "seed " << seed;
-  EXPECT_EQ(naive.out_sets, fast.out_sets) << "seed " << seed;
-  EXPECT_EQ(naive.MinOutSize(), fast.MinOutSize()) << "seed " << seed;
+// Algorithm 2 against the naive enumerator on one module relation: the
+// overall Γ through every overload, then each input's OUT set.
+void ExpectAlgorithm2MatchesNaive(const Module& module, const Relation& rel,
+                                  const Bitset64& visible,
+                                  const StandaloneWorlds& naive,
+                                  uint64_t seed) {
+  const std::vector<AttrId>& in = module.inputs();
+  const std::vector<AttrId>& out = module.outputs();
+  const int64_t expected = naive.MinOutSize();
+  EXPECT_EQ(MaxStandaloneGamma(rel, in, out, visible), expected)
+      << "seed " << seed;
+  MaterializedRowSupplier rows(rel);
+  EXPECT_EQ(MaxStandaloneGamma(&rows, in, out, visible), expected)
+      << "seed " << seed;
+  EXPECT_EQ(MaxStandaloneGamma(module, visible), expected) << "seed " << seed;
+  // Streamed from the module's function instead of the materialized table.
+  EXPECT_EQ(MaxStandaloneGamma(module, visible, /*materialize_threshold=*/0),
+            expected)
+      << "seed " << seed;
+  for (int64_t gamma : {1, 2, 3, 5}) {
+    EXPECT_EQ(IsStandaloneSafe(rel, in, out, visible, gamma),
+              expected >= gamma)
+        << "seed " << seed << " gamma " << gamma;
+    EXPECT_EQ(IsStandaloneSafe(&rows, in, out, visible, gamma),
+              expected >= gamma)
+        << "seed " << seed << " gamma " << gamma;
+  }
+  // The real relation is itself a world, so every input has an OUT set.
+  ASSERT_GE(naive.num_worlds, 1) << "seed " << seed;
+  for (const auto& [x, outs] : naive.out_sets) {
+    EXPECT_EQ(OutSetSize(rel, in, out, visible, x),
+              static_cast<int64_t>(outs.size()))
+        << "seed " << seed;
+    EXPECT_EQ(OutSet(rel, in, out, visible, x),
+              std::vector<Tuple>(outs.begin(), outs.end()))
+        << "seed " << seed;
+  }
 }
 
 TEST(PossibleWorldsEquivalenceTest, RandomizedInstancesMatchNaive) {
@@ -63,12 +103,8 @@ TEST(PossibleWorldsEquivalenceTest, RandomizedInstancesMatchNaive) {
     StandaloneWorlds naive = EnumerateStandaloneWorldsNaive(
         inst.relation, inst.module->inputs(), inst.module->outputs(),
         inst.visible);
-    StandaloneWorlds fast = EnumerateStandaloneWorlds(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible);
-    ExpectIdentical(naive, fast, seed);
-    EXPECT_LE(fast.pruned_candidates, fast.naive_candidates) << "seed " << seed;
-    EXPECT_FALSE(fast.early_stopped);
+    ExpectAlgorithm2MatchesNaive(*inst.module, inst.relation, inst.visible,
+                                 naive, seed);
   }
 }
 
@@ -78,104 +114,50 @@ TEST(PossibleWorldsEquivalenceTest, LargerInputSpaceMatchesNaive) {
     StandaloneWorlds naive = EnumerateStandaloneWorldsNaive(
         inst.relation, inst.module->inputs(), inst.module->outputs(),
         inst.visible, int64_t{1} << 40);
-    EnumerationOptions opts;
-    opts.max_candidates = int64_t{1} << 40;
-    StandaloneWorlds fast = EnumerateStandaloneWorlds(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible, opts);
-    ExpectIdentical(naive, fast, seed);
+    ExpectAlgorithm2MatchesNaive(*inst.module, inst.relation, inst.visible,
+                                 naive, seed);
   }
 }
 
-TEST(PossibleWorldsEquivalenceTest, ParallelShardsMatchSequential) {
+TEST(PossibleWorldsEquivalenceTest, WideDomainInputsMatchNaive) {
   for (uint64_t seed = 200; seed < 210; ++seed) {
     RandomInstance inst = MakeInstance(2, 2, 3, 2, seed);
     StandaloneWorlds naive = EnumerateStandaloneWorldsNaive(
         inst.relation, inst.module->inputs(), inst.module->outputs(),
         inst.visible);
-    EnumerationOptions sequential;
-    sequential.num_threads = 1;
-    StandaloneWorlds a = EnumerateStandaloneWorlds(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible, sequential);
-    ExpectIdentical(naive, a, seed);
-    for (int threads : {2, 4, 8}) {
-      EnumerationOptions parallel;
-      parallel.num_threads = threads;
-      parallel.min_parallel_candidates = 0;  // shard even when tiny
-      StandaloneWorlds b = EnumerateStandaloneWorlds(
-          inst.relation, inst.module->inputs(), inst.module->outputs(),
-          inst.visible, parallel);
-      ExpectIdentical(a, b, seed);
-    }
+    ExpectAlgorithm2MatchesNaive(*inst.module, inst.relation, inst.visible,
+                                 naive, seed);
   }
 }
 
-TEST(PossibleWorldsEquivalenceTest, ParallelMatchesWhenShardsDivideUnevenly) {
-  // Regression: slot-0 feasible counts that are not a multiple of the
-  // thread count once produced an empty trailing shard whose walker read
-  // past the feasible-code array (6 feasible codes over 4 threads shards as
-  // ceil(6/4)=2 → starts 0,2,4,6 — the last is out of range).
-  for (uint64_t seed = 500; seed < 510; ++seed) {
+// The two E1c configurations the naive walk covers in a fraction of a
+// second (4^8 = 2^16 candidates each): random boolean modules with one
+// input and one output hidden — partial visibility, the regime where the Γ
+// bound is neither trivial nor total.
+TEST(PossibleWorldsEquivalenceTest, E1cConfigurationsMatchNaive) {
+  struct Config {
+    int ki, ko;
+    uint64_t seed;
+  };
+  for (const Config& c : {Config{3, 2, 42}, Config{4, 1, 7}}) {
     auto catalog = std::make_shared<AttributeCatalog>();
     std::vector<AttrId> in, out;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < c.ki; ++i) {
       in.push_back(catalog->Add("i" + std::to_string(i)));
     }
-    out.push_back(catalog->Add("o0", 3));
-    out.push_back(catalog->Add("o1", 2));
-    Rng rng(seed);
+    for (int o = 0; o < c.ko; ++o) {
+      out.push_back(catalog->Add("o" + std::to_string(o)));
+    }
+    Rng rng(c.seed);
     ModulePtr m = MakeRandomFunction("m", catalog, in, out, &rng);
     Relation rel = m->FullRelation();
-    // Hide one input and the domain-3 output: every slot keeps all six
-    // output codes feasible whenever both o1 values occur in its group.
     Bitset64 visible = Bitset64::All(catalog->size());
     visible.Reset(in[0]);
     visible.Reset(out[0]);
-
-    EnumerationOptions sequential;
-    sequential.num_threads = 1;
-    sequential.max_candidates = int64_t{1} << 34;
-    EnumerationOptions parallel = sequential;
-    parallel.num_threads = 4;
-    parallel.min_parallel_candidates = 0;
-    StandaloneWorlds a = EnumerateStandaloneWorlds(rel, m->inputs(),
-                                                   m->outputs(), visible,
-                                                   sequential);
-    StandaloneWorlds b = EnumerateStandaloneWorlds(rel, m->inputs(),
-                                                   m->outputs(), visible,
-                                                   parallel);
-    ExpectIdentical(a, b, seed);
-  }
-}
-
-TEST(PossibleWorldsEquivalenceTest, GammaShortCircuitAgreesWithAlgorithm2) {
-  for (uint64_t seed = 300; seed < 320; ++seed) {
-    RandomInstance inst = MakeInstance(2, 2, 3, 2, seed);
-    for (int64_t gamma : {1, 2, 3, 5}) {
-      bool alg2 = IsStandaloneSafe(inst.relation, inst.module->inputs(),
-                                   inst.module->outputs(), inst.visible,
-                                   gamma);
-      bool brute = IsStandaloneSafeByEnumeration(
-          inst.relation, inst.module->inputs(), inst.module->outputs(),
-          inst.visible, gamma);
-      EXPECT_EQ(alg2, brute) << "seed " << seed << " gamma " << gamma;
-    }
-  }
-}
-
-TEST(PossibleWorldsEquivalenceTest, GammaShortCircuitUnderThreads) {
-  for (uint64_t seed = 400; seed < 406; ++seed) {
-    RandomInstance inst = MakeInstance(2, 2, 3, 2, seed);
-    EnumerationOptions opts;
-    opts.num_threads = 4;
-    opts.min_parallel_candidates = 0;
-    bool alg2 = IsStandaloneSafe(inst.relation, inst.module->inputs(),
-                                 inst.module->outputs(), inst.visible, 2);
-    bool brute = IsStandaloneSafeByEnumeration(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible, 2, opts);
-    EXPECT_EQ(alg2, brute) << "seed " << seed;
+    StandaloneWorlds naive = EnumerateStandaloneWorldsNaive(
+        rel, m->inputs(), m->outputs(), visible, int64_t{1} << 32);
+    EXPECT_EQ(naive.naive_candidates, int64_t{1} << 16) << "seed " << c.seed;
+    ExpectAlgorithm2MatchesNaive(*m, rel, visible, naive, c.seed);
   }
 }
 
@@ -184,12 +166,16 @@ TEST(PossibleWorldsEquivalenceTest, EmptyRelationYieldsNoWorlds) {
   AttrId a = catalog->Add("a");
   AttrId b = catalog->Add("b");
   Relation empty(Schema(catalog, {a, b}));
-  StandaloneWorlds fast =
-      EnumerateStandaloneWorlds(empty, {a}, {b}, Bitset64::All(2));
   StandaloneWorlds naive =
       EnumerateStandaloneWorldsNaive(empty, {a}, {b}, Bitset64::All(2));
-  EXPECT_EQ(fast.num_worlds, naive.num_worlds);
-  EXPECT_TRUE(fast.out_sets.empty());
+  EXPECT_EQ(naive.num_worlds, 0);
+  EXPECT_TRUE(naive.out_sets.empty());
+  EXPECT_EQ(naive.MinOutSize(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(MaxStandaloneGamma(empty, {a}, {b}, Bitset64::All(2)),
+            naive.MinOutSize());
+  MaterializedRowSupplier rows(empty);
+  EXPECT_EQ(MaxStandaloneGamma(&rows, {a}, {b}, Bitset64::All(2)),
+            naive.MinOutSize());
 }
 
 }  // namespace

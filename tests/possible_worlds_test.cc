@@ -18,7 +18,7 @@ TEST(StandaloneWorldsTest, Fig1M1HasSixtyFourWorlds) {
   Relation rel = m1.FullRelation();
   Bitset64 v = Bitset64::Of(7, {fig.a1, fig.a3, fig.a5});
   StandaloneWorlds worlds =
-      EnumerateStandaloneWorlds(rel, m1.inputs(), m1.outputs(), v);
+      EnumerateStandaloneWorldsNaive(rel, m1.inputs(), m1.outputs(), v);
   EXPECT_EQ(worlds.num_worlds, 64);
   EXPECT_EQ(worlds.MinOutSize(), 4);
 }
@@ -31,7 +31,7 @@ TEST(StandaloneWorldsTest, Fig2SampleWorldsAreConsistent) {
   Relation rel = m1.FullRelation();
   Bitset64 v = Bitset64::Of(7, {fig.a1, fig.a3, fig.a5});
   StandaloneWorlds worlds =
-      EnumerateStandaloneWorlds(rel, m1.inputs(), m1.outputs(), v);
+      EnumerateStandaloneWorldsNaive(rel, m1.inputs(), m1.outputs(), v);
   // R1^1 (Figure 2a): (0,0)→(0,0,1), (0,1)→(1,0,0), (1,0)→(1,0,0),
   // (1,1)→(1,0,1).
   EXPECT_TRUE(worlds.out_sets.at({0, 0}).count({0, 0, 1}));
@@ -47,7 +47,7 @@ TEST(StandaloneWorldsTest, FullyVisibleLeavesSingleWorld) {
   Fig1Workflow fig = MakeFig1Workflow();
   const Module& m1 = fig.workflow->module(fig.m1_index);
   Relation rel = m1.FullRelation();
-  StandaloneWorlds worlds = EnumerateStandaloneWorlds(
+  StandaloneWorlds worlds = EnumerateStandaloneWorldsNaive(
       rel, m1.inputs(), m1.outputs(), Bitset64::All(7));
   EXPECT_EQ(worlds.num_worlds, 1);
   EXPECT_EQ(worlds.MinOutSize(), 1);
@@ -66,7 +66,7 @@ TEST_P(CountingVsBruteForceTest, OutSetsMatch) {
   Relation rel = mod->FullRelation();
 
   ForEachSubset(4, [&](const Bitset64& visible) {
-    StandaloneWorlds worlds = EnumerateStandaloneWorlds(
+    StandaloneWorlds worlds = EnumerateStandaloneWorldsNaive(
         rel, mod->inputs(), mod->outputs(), visible);
     EXPECT_EQ(worlds.MinOutSize(),
               MaxStandaloneGamma(rel, mod->inputs(), mod->outputs(), visible))
@@ -94,7 +94,7 @@ TEST(WorkflowWorldsTest, Prop2ChainWorldCounts) {
   Bitset64 hidden = Bitset64::Of(6, {2});
   Bitset64 visible = hidden.Complement();
 
-  StandaloneWorlds standalone = EnumerateStandaloneWorlds(
+  StandaloneWorlds standalone = EnumerateStandaloneWorldsNaive(
       m1.FullRelation(), m1.inputs(), m1.outputs(), visible);
   EXPECT_EQ(standalone.num_worlds, 16);
   EXPECT_EQ(standalone.MinOutSize(), 2);

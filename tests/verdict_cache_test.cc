@@ -103,6 +103,27 @@ TEST(VerdictCacheTest, DropNamespaceErasesOnlyThatNamespace) {
   EXPECT_EQ(after.namespaces, 0u);
   EXPECT_EQ(after.signature.entries + after.projection.entries, 0);
   EXPECT_EQ(after.signature.bytes + after.projection.bytes, 0);
+
+  // REGISTER/UNREGISTER churn: every cycle gets a fresh id (ids are never
+  // reused, so a stale memo cannot read another tenant's verdicts) and a
+  // drop leaves nothing behind — the live count and the measured bytes
+  // return to their steady state instead of accruing per registration.
+  uint32_t last = ns_c;
+  int64_t steady_bytes = -1;
+  for (int cycle = 0; cycle < 10000; ++cycle) {
+    const uint32_t ns = cache.RegisterNamespace("churn");
+    ASSERT_GT(ns, last);
+    last = ns;
+    ASSERT_EQ(cache.Stats().namespaces, 1u);
+    cache.Insert(ns, VerdictKeyClass::kSignature, Key(7), GammaOf(7));
+    ASSERT_TRUE(cache.Lookup(ns, VerdictKeyClass::kSignature, Key(7), &gamma));
+    cache.DropNamespace(ns);
+    if (steady_bytes < 0) steady_bytes = cache.bytes_in_use();
+    ASSERT_EQ(cache.bytes_in_use(), steady_bytes) << "cycle " << cycle;
+  }
+  after = cache.Stats();
+  EXPECT_EQ(after.namespaces, 0u);
+  EXPECT_EQ(after.signature.entries + after.projection.entries, 0);
 }
 
 TEST(VerdictCacheTest, FirstInsertWins) {
