@@ -161,14 +161,14 @@ void PrintScalingTables() {
   PrintBanner(
       "E2e: safety-memo canonicalization — redundant attribute schemas");
   TablePrinter t5({"redundant attrs", "k", "examined", "checker calls",
-                   "sig hits", "proj hits", "hit rate (%)"});
+                   "cache hits", "hit rate (%)"});
   for (int redundant = 0; redundant <= 4; redundant += 2) {
     auto catalog = std::make_shared<AttributeCatalog>();
     std::vector<AttrId> in, out;
     in.push_back(catalog->Add("i0"));
     in.push_back(catalog->Add("i1"));
     // Domain-1 inputs: real schemas carry flags and metadata columns that
-    // cannot distinguish worlds; the signature level collapses every hidden
+    // cannot distinguish worlds; the signature memo collapses every hidden
     // set that differs only in them.
     for (int r = 0; r < redundant / 2; ++r) {
       in.push_back(catalog->Add("pad" + std::to_string(r), 1));
@@ -176,8 +176,8 @@ void PrintScalingTables() {
     out.push_back(catalog->Add("o0"));
     out.push_back(catalog->Add("o1"));
     // Duplicated outputs (mirrors of o0): visible sets exchanging o0 for a
-    // mirror induce the *same* projection, which only the level-2
-    // projection-hash canonicalization can collapse.
+    // mirror induce the same projection but carry distinct signatures, so
+    // each runs its own Algorithm-2 pass.
     for (int r = 0; r < redundant / 2; ++r) {
       out.push_back(catalog->Add("dup" + std::to_string(r)));
     }
@@ -198,15 +198,14 @@ void PrintScalingTables() {
         .AddCell(static_cast<int64_t>(in.size() + out.size()))
         .AddCell(stats.subsets_examined)
         .AddCell(stats.checker_calls)
-        .AddCell(stats.signature_hits)
-        .AddCell(stats.projection_hits)
+        .AddCell(stats.cache_hits)
         .AddCell(100.0 * stats.HitRate(), 1);
   }
   t5.Print();
-  std::cout << "  (every added redundant attribute doubles the subset space "
-               "but not the number of distinct Algorithm-2 evaluations; "
-               "'proj hits' are collapses the per-attribute signature alone "
-               "could not see.)\n";
+  std::cout << "  (every added domain-1 pad doubles the subset space but "
+               "not the number of distinct Algorithm-2 evaluations; output "
+               "mirrors are distinct signatures and cost their own "
+               "evaluations.)\n";
 
   // --- Appendix-A gadgets checked against Algorithm 2. ---
   PrintBanner("E2c: Theorem-1 set-disjointness gadget (safety <=> A∩B ≠ ∅)");

@@ -2,7 +2,7 @@
 # Runs the possible-worlds benches and emits a JSON timing record
 # (BENCH_possible_worlds.json) so successive PRs can track the perf
 # trajectory. Usage: bench/run_benches.sh [build_dir] [output.json]
-# BENCH_SHORT=1 runs the short mode (shrunken E1e streaming spaces) used by
+# BENCH_SHORT=1 runs the short mode (shrunken E1e streaming space) used by
 # the CI bench-regression smoke step.
 set -euo pipefail
 
@@ -35,12 +35,10 @@ PW_SECONDS="$(awk -v a="${PW_T0}" -v b="${PW_T1}" 'BEGIN{printf "%.3f", b-a}')"
 # the JSON's :-null fallbacks ever ran.
 # "workflow min speedup 45.6x (...)" from the E1d summary line.
 PW_WF_MIN_SPEEDUP="$(grep -o 'workflow min speedup [0-9.]*' "${PW_LOG}" | awk '{print $4}' | head -1 || true)"
-# E1e streaming-certification summary lines.
+# E1e streaming-certification summary line.
 E1E_ROWS="$(grep -o 'E1e standalone: rows=[0-9]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 E1E_GAMMA="$(grep -o 'E1e standalone: rows=[0-9]* gamma=[0-9]*' "${PW_LOG}" | awk -F= '{print $3}' | head -1 || true)"
 E1E_MS="$(grep -o 'E1e standalone: .* stream_ms=[0-9.]*' "${PW_LOG}" | awk -F= '{print $NF}' | head -1 || true)"
-E1E_WF_EXECS="$(grep -o 'E1e workflow: execs=[0-9]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
-E1E_WF_MS="$(grep -o 'E1e workflow: .* stream_ms=[0-9.]*' "${PW_LOG}" | awk -F= '{print $NF}' | head -1 || true)"
 # E1f: the sharded subset-lattice summary line. (The fixpoint engine's
 # walked states are pinned by tests/feasible_sets_test.cc instead.)
 E1F_K="$(grep -o 'E1f sharded subset search: k=[0-9]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
@@ -130,8 +128,6 @@ cat >"${LATEST_JSON}" <<EOF
   "e1e_stream_rows": ${E1E_ROWS:-null},
   "e1e_stream_gamma": ${E1E_GAMMA:-null},
   "e1e_stream_ms": ${E1E_MS:-null},
-  "e1e_workflow_execs": ${E1E_WF_EXECS:-null},
-  "e1e_workflow_stream_ms": ${E1E_WF_MS:-null},
   "e1f_sharded_search_k": ${E1F_K:-null},
   "e1f_minimal_sets": ${E1F_MINIMAL:-null},
   "k24_seq_search_ms": ${E1F_SEQ_MS:-null},
@@ -172,7 +168,7 @@ import sys
 HIST_KEYS = [
     "date_utc", "git_rev", "host_threads", "short_mode",
     "workflow_min_speedup_x",
-    "e1e_stream_ms", "e1e_workflow_stream_ms",
+    "e1e_stream_ms",
     "e1f_sharded_search_k",
     "k24_seq_search_ms", "k24_sharded_search_ms",
     "sharded_search_speedup_x", "podsd_throughput_rps",

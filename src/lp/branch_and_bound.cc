@@ -14,6 +14,8 @@ namespace provview {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kIntTol = 1e-6;  // integrality tolerance
+constexpr double kObjEps = 1e-7;  // pruning slack
 
 // One open subtree: the branching path as (var, lb, ub) tightenings over
 // the base LP, the parent relaxation objective (its proven lower bound),
@@ -158,7 +160,7 @@ class Engine {
           case Outcome::kBranch: {
             // Re-check against the merged incumbent: an earlier node of
             // this wave may have improved it since the resolve froze.
-            if (out.relax_obj >= best_obj_ - opt_.obj_eps) break;
+            if (out.relax_obj >= best_obj_ - kObjEps) break;
             const Node& node = wave[i];
             const double val = out.branch_val;
             Node down{node.bounds, out.relax_obj, 0};
@@ -200,7 +202,7 @@ class Engine {
   void Resolve(const Node& node, double frozen_best, int bucket,
                Outcome* out) {
     out->done = true;  // overwritten fields below; kind defaults to closed
-    if (node.bound >= frozen_best - opt_.obj_eps) return;  // cannot beat it
+    if (node.bound >= frozen_best - kObjEps) return;  // cannot beat it
 
     // Effective box: base bounds tightened along the branching path.
     // Paths are short (tree depth), so this is the cheap part of a node.
@@ -242,13 +244,13 @@ class Engine {
       }
       if (cut.resolved) {
         out->oracle_closed = true;
-        if (cut.objective >= frozen_best - opt_.obj_eps) return;
+        if (cut.objective >= frozen_best - kObjEps) return;
         out->kind = Outcome::kCandidate;
         out->x = std::move(cut.x);
         out->objective = cut.objective;
         return;
       }
-      if (cut.lower_bound >= frozen_best - opt_.obj_eps) {
+      if (cut.lower_bound >= frozen_best - kObjEps) {
         out->oracle_closed = true;
         return;
       }
@@ -275,7 +277,7 @@ class Engine {
       out->error = relax.status;
       return;
     }
-    if (relax.objective >= frozen_best - opt_.obj_eps) return;
+    if (relax.objective >= frozen_best - kObjEps) return;
 
     // Branching variable: fractionality weighted by the objective
     // coefficient (fixing an expensive variable moves the child bounds
@@ -286,7 +288,7 @@ class Engine {
       double value = relax.x[static_cast<size_t>(v)];
       double frac = value - std::floor(value);
       double dist = std::min(frac, 1.0 - frac);
-      if (dist <= opt_.int_tol) continue;
+      if (dist <= kIntTol) continue;
       const double score =
           dist * std::max(std::abs(lp_.objective_coeff(v)), 1e-3);
       if (score > best_score) {

@@ -72,8 +72,6 @@ using BnbOracle = std::function<BnbNodeCut(const std::vector<double>& lb,
 struct BnbOptions {
   SimplexOptions simplex;
   int max_nodes = 200000;     ///< node budget; kTimeout past it
-  double int_tol = 1e-6;      ///< integrality tolerance
-  double obj_eps = 1e-7;      ///< pruning slack
 
   /// Nodes resolved per wave. Fixed independently of num_threads so the
   /// search tree — and therefore BnbResult — is a function of the options

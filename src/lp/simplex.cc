@@ -8,6 +8,12 @@ namespace provview {
 
 namespace {
 
+constexpr double kEps = 1e-9;             // pivot / feasibility tolerance
+constexpr int kMaxIterations = 500000;    // across both phases
+// Switch from Dantzig pricing to Bland's rule after this many consecutive
+// non-improving iterations (anti-cycling).
+constexpr int kBlandThreshold = 2000;
+
 // Internal dense tableau. Rows: one per constraint, plus a cost row kept
 // separately. Columns: structural variables (after shifting lower bounds to
 // zero), slack/surplus columns, artificial columns, and the rhs.
@@ -33,7 +39,7 @@ class Tableau {
         solution.status = st;
         return solution;
       }
-      if (cost_rhs_ < -opt_.eps) {
+      if (cost_rhs_ < -kEps) {
         // cost_rhs_ holds -objective; phase-1 objective > eps ⇒ infeasible.
         solution.status = Status::Infeasible("phase-1 objective positive");
         return solution;
@@ -190,7 +196,7 @@ class Tableau {
     int stall = 0;
     double last_obj = cost_rhs_;
     while (true) {
-      if (solution->iterations >= opt_.max_iterations) {
+      if (solution->iterations >= kMaxIterations) {
         return Status::Timeout("simplex iteration budget exhausted");
       }
       if (opt_.control != nullptr &&
@@ -198,17 +204,17 @@ class Tableau {
           opt_.control->ExpiredNow()) {
         return opt_.control->Check();
       }
-      const bool bland = stall >= opt_.bland_threshold;
+      const bool bland = stall >= kBlandThreshold;
       // Entering column.
       int enter = -1;
-      double best = -opt_.eps;
+      double best = -kEps;
       for (int j = 0; j < entering_limit; ++j) {
         double rc = cost_row_[static_cast<size_t>(j)];
         if (rc < best) {
           enter = j;
           if (bland) break;  // Bland: first eligible index
           best = rc;
-        } else if (bland && rc < -opt_.eps) {
+        } else if (bland && rc < -kEps) {
           enter = j;
           break;
         }
@@ -219,10 +225,10 @@ class Tableau {
       double best_ratio = 0.0;
       for (int i = 0; i < num_rows_; ++i) {
         double a = tab_[static_cast<size_t>(i)][static_cast<size_t>(enter)];
-        if (a <= opt_.eps) continue;
+        if (a <= kEps) continue;
         double ratio = rhs_[static_cast<size_t>(i)] / a;
-        if (leave < 0 || ratio < best_ratio - opt_.eps ||
-            (ratio < best_ratio + opt_.eps &&
+        if (leave < 0 || ratio < best_ratio - kEps ||
+            (ratio < best_ratio + kEps &&
              basis_[static_cast<size_t>(i)] <
                  basis_[static_cast<size_t>(leave)])) {
           leave = i;
@@ -232,7 +238,7 @@ class Tableau {
       if (leave < 0) return Status::Unbounded("no blocking row");
       Pivot(leave, enter);
       ++solution->iterations;
-      if (cost_rhs_ > last_obj + opt_.eps) {
+      if (cost_rhs_ > last_obj + kEps) {
         stall = 0;
         last_obj = cost_rhs_;
       } else {
@@ -280,7 +286,7 @@ class Tableau {
   void DriveOutArtificials() {
     for (int i = 0; i < num_rows_; ++i) {
       if (basis_[static_cast<size_t>(i)] < first_artificial_) continue;
-      if (rhs_[static_cast<size_t>(i)] > opt_.eps) continue;  // shouldn't happen
+      if (rhs_[static_cast<size_t>(i)] > kEps) continue;  // shouldn't happen
       for (int j = 0; j < first_artificial_; ++j) {
         if (std::abs(tab_[static_cast<size_t>(i)][static_cast<size_t>(j)]) >
             1e-7) {

@@ -13,11 +13,6 @@ namespace provview {
 
 /// Tuning knobs for the simplex solver.
 struct SimplexOptions {
-  double eps = 1e-9;           ///< pivot / feasibility tolerance
-  int max_iterations = 500000; ///< across both phases
-  /// Switch from Dantzig pricing to Bland's rule after this many
-  /// consecutive non-improving iterations (anti-cycling).
-  int bland_threshold = 2000;
   /// Cooperative deadline/cancel token, polled every kControlStride pivots;
   /// a tripped control surfaces as its typed Status (DEADLINE_EXCEEDED /
   /// RESOURCE_EXHAUSTED) instead of an unbounded pivot loop.

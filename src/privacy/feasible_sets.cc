@@ -173,9 +173,6 @@ std::vector<std::vector<int32_t>> DeterminedSlotPruner::CandidateLists(
 FeasibleSetAnalysis AnalyzeFeasibleSets(const WorkflowTables& tables,
                                         const Bitset64& visible,
                                         const std::vector<int>& fixed_modules) {
-  PV_CHECK_MSG(tables.log_materialized,
-               "feasible-set analysis replays the original execution log; "
-               "rebuild the tables with materialize_threshold >= num_execs");
   const Workflow& workflow = *tables.workflow;
   const AttributeCatalog& catalog = *workflow.catalog();
   const int n = tables.num_modules;

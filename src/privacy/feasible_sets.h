@@ -102,8 +102,7 @@ struct FeasibleSetAnalysis {
   int64_t factored_free_slots = 0;
 };
 
-/// Runs the fixpoint. Requires a materialized execution log (the analysis
-/// replays the original rows), i.e. tables.log_materialized.
+/// Runs the fixpoint, replaying the tables' original execution log.
 FeasibleSetAnalysis AnalyzeFeasibleSets(const WorkflowTables& tables,
                                         const Bitset64& visible,
                                         const std::vector<int>& fixed_modules);

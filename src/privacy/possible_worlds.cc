@@ -276,38 +276,32 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   }
   t->num_execs = execs;
   t->prov_ids = workflow.ProvenanceAttrIds();
-  t->log_materialized = execs <= opts.materialize_threshold;
 
   // The original run, streamed from the initial-input odometer in
-  // chunk-sized blocks of provenance rows. At or below the materialization
-  // threshold the per-execution arrays (provenance row, per-module input
-  // code, initial values) are kept for the world walkers; beyond it only
-  // the per-module distinct input codes survive the scan. Shards own
+  // chunk-sized blocks of provenance rows into the per-execution arrays
+  // (provenance row, per-module input code, initial values) the world
+  // walkers replay, plus the per-module distinct input codes. Shards own
   // disjoint execution ranges (and disjoint slices of the per-execution
   // arrays), so the parallel scan needs no synchronization beyond the
   // final aggregate merge.
   const size_t prov_arity = t->prov_ids.size();
   const std::vector<AttrId>& init_ids = workflow.initial_input_ids();
   const size_t num_init = init_ids.size();
-  if (t->log_materialized) {
-    // The per-execution arrays are the dominant footprint of a materialized
-    // build; charge them against the request's budget before allocating so
-    // an oversized request trips RESOURCE_EXHAUSTED instead of OOM-ing the
-    // daemon. The charge lives as long as the tables (request scope).
-    if (control != nullptr &&
-        !control->TryCharge(
-            execs *
-            static_cast<int64_t>((prov_arity + static_cast<size_t>(n) +
-                                  num_init) *
-                                 sizeof(int32_t)))) {
-      t->status = control->Check();
-      return t;
-    }
-    t->orig_rows.resize(static_cast<size_t>(execs) * prov_arity);
-    t->orig_in_code.resize(static_cast<size_t>(execs) *
-                           static_cast<size_t>(n));
-    t->init_values.resize(static_cast<size_t>(execs) * num_init);
+  // The per-execution arrays are the dominant footprint of the build;
+  // charge them against the request's budget before allocating so an
+  // oversized request trips RESOURCE_EXHAUSTED instead of OOM-ing the
+  // daemon. The charge lives as long as the tables (request scope).
+  if (control != nullptr &&
+      !control->TryCharge(
+          execs * static_cast<int64_t>((prov_arity + static_cast<size_t>(n) +
+                                        num_init) *
+                                       sizeof(int32_t)))) {
+    t->status = control->Check();
+    return t;
   }
+  t->orig_rows.resize(static_cast<size_t>(execs) * prov_arity);
+  t->orig_in_code.resize(static_cast<size_t>(execs) * static_cast<size_t>(n));
+  t->init_values.resize(static_cast<size_t>(execs) * num_init);
   std::vector<int> init_pos;  // initial-input positions in the prov row
   {
     const Schema prov_schema = workflow.ProvenanceSchema();
@@ -336,18 +330,14 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
           const int32_t in_code =
               static_cast<int32_t>(supplier.InputCodeOf(row, i));
           codes[static_cast<size_t>(i)].insert(in_code);
-          if (t->log_materialized) {
-            t->orig_in_code[static_cast<size_t>(e) * static_cast<size_t>(n) +
-                            static_cast<size_t>(i)] = in_code;
-          }
+          t->orig_in_code[static_cast<size_t>(e) * static_cast<size_t>(n) +
+                          static_cast<size_t>(i)] = in_code;
         }
-        if (t->log_materialized) {
-          std::copy(row, row + prov_arity,
-                    &t->orig_rows[static_cast<size_t>(e) * prov_arity]);
-          for (size_t k = 0; k < num_init; ++k) {
-            t->init_values[static_cast<size_t>(e) * num_init + k] =
-                row[init_pos[k]];
-          }
+        std::copy(row, row + prov_arity,
+                  &t->orig_rows[static_cast<size_t>(e) * prov_arity]);
+        for (size_t k = 0; k < num_init; ++k) {
+          t->init_values[static_cast<size_t>(e) * num_init + k] =
+              row[init_pos[k]];
         }
       }
     }
@@ -781,17 +771,6 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   if (control != nullptr && control->ExpiredNow()) {
     result.status = control->Check();
     return result;
-  }
-  if (!tables.log_materialized) {
-    if (control != nullptr) {
-      result.status = Status::InvalidArgument(
-          "world enumeration needs a materialized execution log; "
-          "rebuild the tables with materialize_threshold >= num_execs");
-      return result;
-    }
-    PV_CHECK_MSG(tables.log_materialized,
-                 "world enumeration needs a materialized execution log; "
-                 "rebuild the tables with materialize_threshold >= num_execs");
   }
   const Workflow& workflow = *tables.workflow;
   const int n = tables.num_modules;

@@ -91,9 +91,7 @@ struct WorkflowWorlds {
 /// EngineConfig. Sharded enumeration splits the first walked slot's
 /// feasible codes into num_threads tasks on `executor` (or on a private one
 /// when null); results merge by commutative sums/unions, so the outcome is
-/// deterministic regardless of thread count. Whether the execution log is
-/// materialized is decided by the tables passed in
-/// (WorkflowTablesOptions::materialize_threshold).
+/// deterministic regardless of thread count.
 struct WorkflowEnumerationOptions : EngineConfig {
   /// Abort if the (pruned) walked joint space exceeds this.
   int64_t max_candidates = 40000000;
@@ -142,12 +140,6 @@ struct WorkflowTables {
   std::vector<int> init_radices;
   int64_t num_execs = 0;
   std::vector<AttrId> prov_ids;
-  /// True when the per-execution arrays below were materialized. Beyond the
-  /// materialization threshold the build streams executions in chunks and
-  /// keeps only the aggregates (orig_input_codes); world enumeration then
-  /// requires a rebuild with a larger threshold, but the aggregate tables
-  /// still serve batch certification and instance derivation.
-  bool log_materialized = false;
   /// Original provenance rows, flattened num_execs × prov_ids.size().
   std::vector<int32_t> orig_rows;
   /// Original input code of module i in execution e, flattened
@@ -173,22 +165,17 @@ struct WorkflowTables {
 /// per-execution arrays allocate, a trip surfacing as
 /// WorkflowTables::status instead of a PV_CHECK abort.
 struct WorkflowTablesOptions : EngineConfig {
-  /// Hard budget on the initial-input product space (the execution count),
-  /// materialized or streamed.
+  /// Hard budget on the initial-input product space (the execution count).
   int64_t max_executions = int64_t{1} << 22;
-  /// Execution logs of at most this many executions keep the per-execution
-  /// arrays world enumeration requires; larger spaces stream the log and
-  /// keep aggregates only.
-  int64_t materialize_threshold = int64_t{1} << 22;
   /// Executions per streamed chunk (the shard-sized unit of work).
   int64_t chunk_executions = int64_t{1} << 16;
 };
 
 /// Precomputes the shared tables, streaming the execution log from the
 /// initial-input odometer in chunk-sized blocks (one pass, optionally
-/// sharded over the task-graph executor). At the defaults the log is
-/// materialized (as world enumeration needs) up to 2^22 executions and
-/// larger initial-input spaces are refused.
+/// sharded over the task-graph executor) into the per-execution arrays
+/// world enumeration replays. Initial-input spaces beyond max_executions
+/// (2^22 by default) are refused.
 std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
     const Workflow& workflow, const WorkflowTablesOptions& opts = {});
 

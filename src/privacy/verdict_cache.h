@@ -17,10 +17,9 @@
 //     per-shard atomic, so the hard byte budget is enforced on *measured*
 //     bytes, memcached-style, not on guessed entry sizes.
 //
-// Two key classes mirror SafetyMemo's two memo levels: the
-// effective-visible signature (level 1) and the 128-bit induced-projection
-// hash (level 2). Verdicts are deterministic, so first-wins insertion is
-// exact and eviction can only forget a verdict, never corrupt one.
+// Keys are SafetyMemo's effective-visible signatures. Verdicts are
+// deterministic, so first-wins insertion is exact and eviction can only
+// forget a verdict, never corrupt one.
 //
 // Namespaces partition the key space: each (workflow, private module)
 // binds one namespace id, so one cache instance serves a whole daemon
@@ -42,12 +41,6 @@ namespace provview {
 
 class ExecControl;
 
-/// The two verdict key classes (SafetyMemo's memo levels).
-enum class VerdictKeyClass : uint8_t {
-  kSignature = 0,   ///< effective-visible signature (level 1)
-  kProjection = 1,  ///< 128-bit induced-projection hash (level 2)
-};
-
 struct VerdictCacheConfig {
   /// Hard ceiling on measured cache bytes. Defaults to unbounded — the
   /// historical grow-forever memo behavior. The budget splits evenly
@@ -60,18 +53,14 @@ struct VerdictCacheConfig {
 };
 
 /// Counters behind STAT's cache section. Hit/miss/insert/eviction tallies
-/// are exact; byte/entry tallies are per-class measured totals.
+/// are exact; entry_bytes/entries are measured totals over live entries.
 struct VerdictCacheStats {
-  struct PerClass {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t inserts = 0;
-    uint64_t evictions = 0;
-    int64_t bytes = 0;    ///< measured bytes attributed to live entries
-    int64_t entries = 0;  ///< live entries
-  };
-  PerClass signature;
-  PerClass projection;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t inserts = 0;
+  uint64_t evictions = 0;
+  int64_t entry_bytes = 0;  ///< measured bytes attributed to live entries
+  int64_t entries = 0;      ///< live entries
   int64_t bytes_in_use = 0;  ///< all measured bytes (entries + index)
   int64_t peak_bytes = 0;    ///< sum of per-shard measured peaks
   int64_t byte_budget = 0;
@@ -79,7 +68,7 @@ struct VerdictCacheStats {
 };
 
 /// Thread-safe sharded verdict store. Keys are opaque byte strings
-/// (SafetyMemo serializes its signature / projection keys); values are the
+/// (SafetyMemo serializes its signature keys); values are the
 /// Γ verdicts. All methods are safe to call concurrently.
 class VerdictCache {
  public:
@@ -95,15 +84,14 @@ class VerdictCache {
   uint32_t RegisterNamespace(std::string label);
 
   /// Erases every entry of namespace `ns` from every shard, releasing its
-  /// measured bytes and per-class entry tallies (not counted as evictions),
+  /// measured bytes and entry tallies (not counted as evictions),
   /// and forgets the id, so a dropped namespace leaves nothing behind.
   /// Ids are never reused; the caller must not look up or insert under
   /// `ns` afterwards. Dropping twice is a no-op.
   void DropNamespace(uint32_t ns);
 
-  /// True on a hit (LRU-promoting); bumps the per-class hit/miss counter.
-  bool Lookup(uint32_t ns, VerdictKeyClass klass, std::string_view key,
-              int64_t* gamma);
+  /// True on a hit (LRU-promoting); bumps the hit/miss counter.
+  bool Lookup(uint32_t ns, std::string_view key, int64_t* gamma);
 
   /// First-wins insert: returns false (and leaves the cached value alone)
   /// when the key is already present. A non-null `control` is charged
@@ -112,8 +100,8 @@ class VerdictCache {
   /// and the insert is skipped, tying cache growth triggered by a request
   /// into that request's ExecControl budget. The cache's own byte budget
   /// is enforced afterwards by evicting LRU entries of the shard.
-  bool Insert(uint32_t ns, VerdictKeyClass klass, std::string_view key,
-              int64_t gamma, const ExecControl* control = nullptr);
+  bool Insert(uint32_t ns, std::string_view key, int64_t gamma,
+              const ExecControl* control = nullptr);
 
   VerdictCacheStats Stats() const;
   int64_t bytes_in_use() const;

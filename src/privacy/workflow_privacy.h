@@ -109,8 +109,9 @@ struct WorkflowBatchEntry {
 struct WorkflowBatchResult {
   std::vector<WorkflowBatchEntry> entries;  ///< aligned with the requests
   /// Aggregated Algorithm-2 memo statistics: every private module keeps one
-  /// SafetyMemo across the whole batch, so requests whose hidden sets
-  /// induce the same projection on a module share one checker call.
+  /// SafetyMemo across the whole batch, so requests whose hidden sets agree
+  /// on a module's effective attributes (and hidden-output extension)
+  /// share one checker call.
   SafeSearchStats stats;
   /// Non-OK when a service-mode control tripped (DEADLINE_EXCEEDED /
   /// RESOURCE_EXHAUSTED) or a request was structurally invalid

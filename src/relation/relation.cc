@@ -141,23 +141,6 @@ std::vector<Tuple> Relation::SortedDistinctRows() const {
   return sorted;
 }
 
-std::vector<int32_t> Relation::InternRows(TupleInterner* interner) const {
-  std::vector<int32_t> ids;
-  ids.reserve(rows_.size());
-  for (const Tuple& row : rows_) ids.push_back(interner->Intern(row));
-  return ids;
-}
-
-std::vector<int32_t> Relation::InternProjectedRows(
-    const std::vector<AttrId>& attr_ids, TupleInterner* interner) const {
-  std::vector<int32_t> ids;
-  ids.reserve(rows_.size());
-  for (const Tuple& row : rows_) {
-    ids.push_back(interner->Intern(ProjectRow(row, attr_ids)));
-  }
-  return ids;
-}
-
 std::string Relation::ToString() const {
   std::ostringstream oss;
   const auto& cat = *schema_.catalog();

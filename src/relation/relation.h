@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/bitset64.h"
-#include "common/interner.h"
 #include "relation/schema.h"
 
 namespace provview {
@@ -67,17 +66,6 @@ class Relation {
 
   /// Rows sorted lexicographically; canonical form for comparison/hashing.
   std::vector<Tuple> SortedDistinctRows() const;
-
-  /// Interns every row (in storage order, duplicates included) and returns
-  /// the dense ids. The hook the possible-worlds engine uses to replace
-  /// tuple comparisons with integer comparisons in its inner loops.
-  std::vector<int32_t> InternRows(TupleInterner* interner) const;
-
-  /// Interns π_{attr_ids}(row) for every row (storage order, duplicates
-  /// included — the interner deduplicates). Ids index the distinct projected
-  /// tuples in first-seen order.
-  std::vector<int32_t> InternProjectedRows(const std::vector<AttrId>& attr_ids,
-                                           TupleInterner* interner) const;
 
   /// Pretty-printed table with attribute names, for examples and debugging.
   std::string ToString() const;

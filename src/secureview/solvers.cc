@@ -14,6 +14,9 @@ namespace provview {
 
 namespace {
 
+// c in Algorithm 1's Pr[hide b] = min{1, c · x_b · ln n}.
+constexpr double kRoundingScale = 2.0;
+
 SvResult MakeResult(const SecureViewInstance& inst,
                     SecureViewSolution solution) {
   SvResult result;
@@ -102,27 +105,25 @@ SvResult SolveExact(const SecureViewInstance& inst,
   }
   SecureViewSolution warm_sol;
   bool have_warm = false;
-  if (options.warm_start) {
-    // The greedy leg runs uncontrolled on purpose: it is linear in the
-    // instance, and it is what guarantees a deadline-doomed solve still
-    // returns a feasible incumbent (with gap = cost) instead of nothing.
-    SvResult greedy = SolveGreedyPerModule(inst);
-    if (greedy.status.ok()) {
-      warm_sol = std::move(greedy.solution);
-      bnb.warm_objective = std::min(bnb.warm_objective, greedy.cost);
+  // The greedy leg runs uncontrolled on purpose: it is linear in the
+  // instance, and it is what guarantees a deadline-doomed solve still
+  // returns a feasible incumbent (with gap = cost) instead of nothing.
+  SvResult greedy = SolveGreedyPerModule(inst);
+  if (greedy.status.ok()) {
+    warm_sol = std::move(greedy.solution);
+    bnb.warm_objective = std::min(bnb.warm_objective, greedy.cost);
+    have_warm = true;
+  }
+  if (options.warm_rounding_trials > 0) {
+    RoundingOptions ropt;
+    ropt.trials = options.warm_rounding_trials;
+    ropt.simplex = bnb.simplex;
+    ropt.control = bnb.control;
+    SvResult rounded = SolveByLpRounding(inst, ropt);
+    if (rounded.status.ok() && (!have_warm || rounded.cost < bnb.warm_objective)) {
+      warm_sol = std::move(rounded.solution);
+      bnb.warm_objective = rounded.cost;
       have_warm = true;
-    }
-    if (options.warm_rounding_trials > 0) {
-      RoundingOptions ropt;
-      ropt.trials = options.warm_rounding_trials;
-      ropt.simplex = bnb.simplex;
-      ropt.control = bnb.control;
-      SvResult rounded = SolveByLpRounding(inst, ropt);
-      if (rounded.status.ok() && (!have_warm || rounded.cost < bnb.warm_objective)) {
-        warm_sol = std::move(rounded.solution);
-        bnb.warm_objective = rounded.cost;
-        have_warm = true;
-      }
     }
   }
   BnbResult ilp = SolveIlp(enc.lp, enc.integer_vars, bnb);
@@ -223,11 +224,11 @@ SvResult SolveByLpRounding(const SecureViewInstance& inst,
       break;  // keep the best trial finished so far
     }
     // Step 2 of Algorithm 1: independent rounding with probability
-    // min{1, scale · x_b · ln n}.
+    // min{1, c · x_b · ln n}.
     Bitset64 hidden(inst.num_attrs);
     for (int b = 0; b < inst.num_attrs; ++b) {
       double xb = lp.x[static_cast<size_t>(enc.x_var[static_cast<size_t>(b)])];
-      if (rng.NextBernoulli(std::min(1.0, options.scale * xb * log_n))) {
+      if (rng.NextBernoulli(std::min(1.0, kRoundingScale * xb * log_n))) {
         hidden.Set(b);
       }
     }

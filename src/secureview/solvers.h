@@ -41,10 +41,6 @@ struct SvResult {
 /// Knobs for the exact solver beyond the raw branch-and-bound ones.
 struct ExactOptions {
   BnbOptions bnb;
-  /// Seed the incumbent with min(SolveGreedyPerModule, SolveByLpRounding)
-  /// before the search: B&B prunes against a real upper bound from node
-  /// one, and a deadline trip always has a feasible solution to return.
-  bool warm_start = true;
   /// Rounding trials for the warm start's SolveByLpRounding leg; 0 skips
   /// the LP leg entirely (greedy only — no simplex before the search).
   int warm_rounding_trials = 3;
@@ -63,8 +59,10 @@ struct ExactOptions {
 /// them visible preserves the exact optimum.
 std::vector<int> UselessAttrs(const SecureViewInstance& inst);
 
-/// Exact optimum via branch-and-bound on the ILP encoding, with warm-start
-/// pruning per `options`. A tripped deadline / node budget returns the
+/// Exact optimum via branch-and-bound on the ILP encoding. The incumbent is
+/// seeded with min(SolveGreedyPerModule, SolveByLpRounding) before the
+/// search, so B&B prunes against a real upper bound from node one and a
+/// deadline trip always has a feasible solution to return. A tripped deadline / node budget returns the
 /// typed status WITH the best feasible solution found and the proven
 /// optimality gap.
 SvResult SolveExact(const SecureViewInstance& inst,
@@ -80,7 +78,6 @@ SvResult SolveBruteForce(const SecureViewInstance& inst,
 
 /// Options for the Algorithm-1 randomized rounding.
 struct RoundingOptions {
-  double scale = 2.0;   ///< c in Pr[hide b] = min{1, c · x_b · ln n}
   int trials = 7;       ///< independent rounding trials; best kept
   uint64_t seed = 42;
   SimplexOptions simplex;

@@ -77,18 +77,14 @@ StatSnapshot DaemonStats::Snapshot(const StatContext& ctx) const {
     snap.emplace_back("verdict_cache_bytes", u64(cs.bytes_in_use));
     snap.emplace_back("verdict_cache_peak_bytes", u64(cs.peak_bytes));
     snap.emplace_back("verdict_cache_namespaces", u64(cs.namespaces));
-    const auto per_class = [&](const char* prefix,
-                               const VerdictCacheStats::PerClass& c) {
-      const std::string p = std::string("verdict_cache_") + prefix;
-      snap.emplace_back(p + "_hits", u64(c.hits));
-      snap.emplace_back(p + "_misses", u64(c.misses));
-      snap.emplace_back(p + "_inserts", u64(c.inserts));
-      snap.emplace_back(p + "_evictions", u64(c.evictions));
-      snap.emplace_back(p + "_bytes", u64(c.bytes));
-      snap.emplace_back(p + "_entries", u64(c.entries));
-    };
-    per_class("signature", cs.signature);
-    per_class("projection", cs.projection);
+    // The cache's one key class keeps its historical "signature" names.
+    const std::string p = "verdict_cache_signature_";
+    snap.emplace_back(p + "hits", cs.hits);
+    snap.emplace_back(p + "misses", cs.misses);
+    snap.emplace_back(p + "inserts", cs.inserts);
+    snap.emplace_back(p + "evictions", cs.evictions);
+    snap.emplace_back(p + "bytes", u64(cs.entry_bytes));
+    snap.emplace_back(p + "entries", u64(cs.entries));
   }
   if (ctx.admission != nullptr) {
     // stat_version 3: wire registration, request-level admission, reactor.

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "relation/relation.h"
-
 namespace provview {
 namespace {
 
@@ -30,30 +28,6 @@ TEST(TupleInternerTest, TupleOfRoundTrips) {
   std::vector<int32_t> t = {4, 0, 9};
   int32_t id = interner.Intern(t);
   EXPECT_EQ(interner.TupleOf(id), t);
-}
-
-TEST(TupleInternerTest, RelationHookInternsProjections) {
-  auto catalog = std::make_shared<AttributeCatalog>();
-  AttrId a = catalog->Add("a", 3);
-  AttrId b = catalog->Add("b", 3);
-  Relation rel(Schema(catalog, {a, b}));
-  rel.AddRow({0, 1});
-  rel.AddRow({0, 2});
-  rel.AddRow({1, 1});
-  rel.AddRow({0, 1});  // duplicate row
-
-  TupleInterner rows;
-  std::vector<int32_t> row_ids = rel.InternRows(&rows);
-  EXPECT_EQ(row_ids, (std::vector<int32_t>{0, 1, 2, 0}));
-  EXPECT_EQ(rows.size(), 3);
-
-  TupleInterner proj;
-  std::vector<int32_t> proj_ids = rel.InternProjectedRows({a}, &proj);
-  // π_a collapses rows 0, 1, 3 onto the same projected tuple (0).
-  EXPECT_EQ(proj_ids, (std::vector<int32_t>{0, 0, 1, 0}));
-  EXPECT_EQ(proj.size(), 2);
-  EXPECT_EQ(proj.TupleOf(0), (Tuple{0}));
-  EXPECT_EQ(proj.TupleOf(1), (Tuple{1}));
 }
 
 }  // namespace

@@ -193,12 +193,10 @@ TEST(SafeSubsetSearchTest, ShardedMinimalSetsMatchSequential) {
     for (int s = 0; s <= 14; ++s) lattice += BinomialCoefficient(14, s);
     EXPECT_EQ(seq_stats.subsets_examined, lattice);
     EXPECT_EQ(par_stats.subsets_examined, lattice);
-    // Every non-dominated candidate got a verdict from the checker or a
-    // memo level, in both modes.
+    // Every non-dominated candidate got a verdict from the checker or the
+    // memo, in both modes.
     EXPECT_EQ(seq_stats.checker_calls + seq_stats.cache_hits,
               par_stats.checker_calls + par_stats.cache_hits);
-    EXPECT_EQ(par_stats.signature_hits + par_stats.projection_hits,
-              par_stats.cache_hits);
   }
 }
 
@@ -298,8 +296,6 @@ TEST(SafeSubsetSearchTest, ShardedWalkMatchesSequentialByteForByte) {
         EXPECT_EQ(got_stats.checker_calls, seq_stats.checker_calls)
             << "seed " << seed << " threads " << threads;
         EXPECT_EQ(got_stats.cache_hits, seq_stats.cache_hits);
-        EXPECT_EQ(got_stats.signature_hits, seq_stats.signature_hits);
-        EXPECT_EQ(got_stats.projection_hits, seq_stats.projection_hits);
       }
     }
   }

@@ -1,9 +1,9 @@
 // Randomized equivalence suite for the streaming row paths: on instances
 // small enough to also materialize, the streaming engines (supplier-fed
-// MaxStandaloneGamma, streaming SafetyMemo, streamed workflow-table builds)
-// must return verdicts and aggregates identical to the materialized paths,
-// and the function-fed Algorithm 2 must match the naive possible-worlds
-// enumeration.
+// MaxStandaloneGamma, streaming SafetyMemo, chunked and sharded
+// workflow-table builds) must return verdicts and tables identical to the
+// materialized and default paths, and the function-fed Algorithm 2 must
+// match the naive possible-worlds enumeration.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -12,7 +12,6 @@
 #include "privacy/possible_worlds.h"
 #include "privacy/safe_subset_search.h"
 #include "privacy/standalone_privacy.h"
-#include "workflow/fig1_workflow.h"
 
 namespace provview {
 namespace {
@@ -118,55 +117,28 @@ TEST(StreamingEquivalenceTest, StreamedTablesMatchMaterializedAggregates) {
     RandomWorkflowOptions options;
     options.num_modules = 3;
     GeneratedWorkflow rw = MakeRandomWorkflow(options, &rng);
-    std::shared_ptr<const WorkflowTables> mat =
+    std::shared_ptr<const WorkflowTables> base =
         BuildWorkflowTables(*rw.workflow);
-    ASSERT_TRUE(mat->log_materialized);
 
-    WorkflowTablesOptions stream_opts;
-    stream_opts.materialize_threshold = 0;  // force the aggregate-only scan
-    stream_opts.chunk_executions = 3;       // exercise chunk boundaries
-    std::shared_ptr<const WorkflowTables> streamed =
-        BuildWorkflowTables(*rw.workflow, stream_opts);
-    EXPECT_FALSE(streamed->log_materialized);
-    EXPECT_EQ(streamed->num_execs, mat->num_execs);
-    EXPECT_EQ(streamed->orig_input_codes, mat->orig_input_codes)
-        << "seed " << seed;
-    EXPECT_TRUE(streamed->orig_rows.empty());
-
-    // The sharded scan merges to the same aggregates.
-    WorkflowTablesOptions parallel_opts = stream_opts;
-    parallel_opts.num_threads = 4;
-    parallel_opts.chunk_executions = 1;
-    std::shared_ptr<const WorkflowTables> parallel =
-        BuildWorkflowTables(*rw.workflow, parallel_opts);
-    EXPECT_EQ(parallel->orig_input_codes, mat->orig_input_codes)
-        << "seed " << seed;
-
-    // A materialized build through the chunked scan is byte-identical to
-    // the default build.
-    WorkflowTablesOptions chunked_mat;
-    chunked_mat.chunk_executions = 2;
-    chunked_mat.num_threads = 2;
-    std::shared_ptr<const WorkflowTables> remat =
-        BuildWorkflowTables(*rw.workflow, chunked_mat);
-    EXPECT_TRUE(remat->log_materialized);
-    EXPECT_EQ(remat->orig_rows, mat->orig_rows) << "seed " << seed;
-    EXPECT_EQ(remat->orig_in_code, mat->orig_in_code) << "seed " << seed;
-    EXPECT_EQ(remat->init_values, mat->init_values) << "seed " << seed;
+    // Every chunking of the streamed scan, sequential or sharded, merges
+    // to tables byte-identical to the default build.
+    for (int64_t chunk = 1; chunk <= 3; ++chunk) {
+      for (int threads = 1; threads <= 4; ++threads) {
+        WorkflowTablesOptions opts;
+        opts.chunk_executions = chunk;  // exercise chunk boundaries
+        opts.num_threads = threads;
+        std::shared_ptr<const WorkflowTables> built =
+            BuildWorkflowTables(*rw.workflow, opts);
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " chunk "
+                                        << chunk << " threads " << threads);
+        EXPECT_EQ(built->num_execs, base->num_execs);
+        EXPECT_EQ(built->orig_rows, base->orig_rows);
+        EXPECT_EQ(built->orig_in_code, base->orig_in_code);
+        EXPECT_EQ(built->init_values, base->init_values);
+        EXPECT_EQ(built->orig_input_codes, base->orig_input_codes);
+      }
+    }
   }
-}
-
-TEST(StreamingEquivalenceTest, WorldEnumerationRefusesStreamedTables) {
-  Fig1Workflow fig = MakeFig1Workflow();
-  WorkflowTablesOptions opts;
-  opts.materialize_threshold = 0;
-  std::shared_ptr<const WorkflowTables> streamed =
-      BuildWorkflowTables(*fig.workflow, opts);
-  WorkflowEnumerationOptions wopts;
-  EXPECT_DEATH(EnumerateWorkflowWorlds(*streamed,
-                                       Bitset64::All(fig.catalog->size()), {},
-                                       wopts),
-               "materialized execution log");
 }
 
 }  // namespace

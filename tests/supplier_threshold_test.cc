@@ -16,9 +16,7 @@ namespace {
 
 bool StatsEqual(const SafeSearchStats& a, const SafeSearchStats& b) {
   return a.subsets_examined == b.subsets_examined &&
-         a.checker_calls == b.checker_calls && a.cache_hits == b.cache_hits &&
-         a.signature_hits == b.signature_hits &&
-         a.projection_hits == b.projection_hits;
+         a.checker_calls == b.checker_calls && a.cache_hits == b.cache_hits;
 }
 
 // The fixture: |Dom| = 4 * 2 * 4 = 32, the exact cutoff value the tests
@@ -56,8 +54,8 @@ TEST(SupplierThresholdTest, BothPathsCertifyIdenticallyWithIdenticalStats) {
   SafetyMemo streaming(*fx.module, BoundaryFixture::kCutoff - 1);
   SafeSearchStats mat_stats, stream_stats;
   // Drive both memos through the same query sequence: every hidden subset
-  // of the module's attributes, at several Γ levels. Level-1 and level-2
-  // hits must fall on exactly the same queries in both modes.
+  // of the module's attributes, at several Γ levels. Memo hits must fall
+  // on exactly the same queries in both modes.
   std::vector<AttrId> local = fx.in;
   local.insert(local.end(), fx.out.begin(), fx.out.end());
   const int k = static_cast<int>(local.size());

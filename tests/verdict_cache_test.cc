@@ -1,5 +1,5 @@
 // VerdictCache invariants: measured-byte budget enforcement, first-wins
-// inserts, per-class accounting — and the contract the memo layer builds
+// inserts, hit/miss/entry accounting — and the contract the memo layer builds
 // on: eviction only FORGETS verdicts. A memo over a byte-starved cache
 // must produce field-identical results to one over an unbounded cache and
 // to the cache-less baseline, and the shards must survive concurrent
@@ -30,22 +30,23 @@ std::string Key(uint64_t i) {
 // Deterministic per-key verdict so any cache hit can be validated.
 int64_t GammaOf(uint64_t i) { return static_cast<int64_t>(i % 97) + 1; }
 
-TEST(VerdictCacheTest, InsertAndLookupAcrossNamespacesAndClasses) {
+TEST(VerdictCacheTest, InsertAndLookupAcrossNamespaces) {
   VerdictCache cache;
   const uint32_t ns_a = cache.RegisterNamespace("a");
   const uint32_t ns_b = cache.RegisterNamespace("b");
   ASSERT_NE(ns_a, ns_b);
 
-  EXPECT_TRUE(cache.Insert(ns_a, VerdictKeyClass::kSignature, "k", 7));
+  EXPECT_TRUE(cache.Insert(ns_a, "k", 7));
   int64_t gamma = 0;
-  EXPECT_TRUE(cache.Lookup(ns_a, VerdictKeyClass::kSignature, "k", &gamma));
+  EXPECT_TRUE(cache.Lookup(ns_a, "k", &gamma));
   EXPECT_EQ(gamma, 7);
-  // Same key bytes, different namespace or class: distinct entries.
-  EXPECT_FALSE(cache.Lookup(ns_b, VerdictKeyClass::kSignature, "k", &gamma));
-  EXPECT_FALSE(cache.Lookup(ns_a, VerdictKeyClass::kProjection, "k", &gamma));
-  EXPECT_TRUE(cache.Insert(ns_a, VerdictKeyClass::kProjection, "k", 9));
-  EXPECT_TRUE(cache.Lookup(ns_a, VerdictKeyClass::kProjection, "k", &gamma));
+  // Same key bytes, different namespace: distinct entries.
+  EXPECT_FALSE(cache.Lookup(ns_b, "k", &gamma));
+  EXPECT_TRUE(cache.Insert(ns_b, "k", 9));
+  EXPECT_TRUE(cache.Lookup(ns_b, "k", &gamma));
   EXPECT_EQ(gamma, 9);
+  EXPECT_TRUE(cache.Lookup(ns_a, "k", &gamma));
+  EXPECT_EQ(gamma, 7);
   EXPECT_EQ(cache.Stats().namespaces, 2);
 }
 
@@ -55,18 +56,15 @@ TEST(VerdictCacheTest, DropNamespaceErasesOnlyThatNamespace) {
   const uint32_t ns_b = cache.RegisterNamespace("b");
   const uint32_t ns_c = cache.RegisterNamespace("c");
   for (uint64_t i = 0; i < 300; ++i) {
-    cache.Insert(ns_b, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
-    cache.Insert(ns_c, VerdictKeyClass::kProjection, Key(i), GammaOf(i));
+    cache.Insert(ns_b, Key(i), GammaOf(i));
+    cache.Insert(ns_c, Key(i), GammaOf(i));
   }
   const VerdictCacheStats kept = cache.Stats();
   int64_t gamma = 0;
-  for (uint64_t i = 0; i < 300; ++i) {
-    cache.Insert(ns_a, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
-    cache.Insert(ns_a, VerdictKeyClass::kProjection, Key(i), GammaOf(i));
+  for (uint64_t i = 0; i < 600; ++i) {
+    cache.Insert(ns_a, Key(i), GammaOf(i));
     // Promote some of a's entries so the drop sweeps both LRU segments.
-    if (i % 3 == 0) {
-      cache.Lookup(ns_a, VerdictKeyClass::kSignature, Key(i), &gamma);
-    }
+    if (i % 3 == 0) cache.Lookup(ns_a, Key(i), &gamma);
   }
   const int64_t bytes_before_drop = cache.bytes_in_use();
   ASSERT_EQ(cache.Stats().namespaces, 3u);
@@ -76,21 +74,15 @@ TEST(VerdictCacheTest, DropNamespaceErasesOnlyThatNamespace) {
   EXPECT_EQ(after.namespaces, 2u);
   // Entry and byte tallies return to what b and c alone held; the drop is
   // not an eviction.
-  EXPECT_EQ(after.signature.entries, kept.signature.entries);
-  EXPECT_EQ(after.projection.entries, kept.projection.entries);
-  EXPECT_EQ(after.signature.bytes, kept.signature.bytes);
-  EXPECT_EQ(after.projection.bytes, kept.projection.bytes);
-  EXPECT_EQ(after.signature.evictions, 0u);
-  EXPECT_EQ(after.projection.evictions, 0u);
+  EXPECT_EQ(after.entries, kept.entries);
+  EXPECT_EQ(after.entry_bytes, kept.entry_bytes);
+  EXPECT_EQ(after.evictions, 0u);
   EXPECT_LT(cache.bytes_in_use(), bytes_before_drop);
   for (uint64_t i = 0; i < 300; ++i) {
-    EXPECT_FALSE(
-        cache.Lookup(ns_a, VerdictKeyClass::kSignature, Key(i), &gamma));
-    ASSERT_TRUE(
-        cache.Lookup(ns_b, VerdictKeyClass::kSignature, Key(i), &gamma));
+    EXPECT_FALSE(cache.Lookup(ns_a, Key(i), &gamma));
+    ASSERT_TRUE(cache.Lookup(ns_b, Key(i), &gamma));
     EXPECT_EQ(gamma, GammaOf(i));
-    ASSERT_TRUE(
-        cache.Lookup(ns_c, VerdictKeyClass::kProjection, Key(i), &gamma));
+    ASSERT_TRUE(cache.Lookup(ns_c, Key(i), &gamma));
     EXPECT_EQ(gamma, GammaOf(i));
   }
 
@@ -101,8 +93,8 @@ TEST(VerdictCacheTest, DropNamespaceErasesOnlyThatNamespace) {
   cache.DropNamespace(ns_c);
   after = cache.Stats();
   EXPECT_EQ(after.namespaces, 0u);
-  EXPECT_EQ(after.signature.entries + after.projection.entries, 0);
-  EXPECT_EQ(after.signature.bytes + after.projection.bytes, 0);
+  EXPECT_EQ(after.entries, 0);
+  EXPECT_EQ(after.entry_bytes, 0);
 
   // REGISTER/UNREGISTER churn: every cycle gets a fresh id (ids are never
   // reused, so a stale memo cannot read another tenant's verdicts) and a
@@ -115,15 +107,15 @@ TEST(VerdictCacheTest, DropNamespaceErasesOnlyThatNamespace) {
     ASSERT_GT(ns, last);
     last = ns;
     ASSERT_EQ(cache.Stats().namespaces, 1u);
-    cache.Insert(ns, VerdictKeyClass::kSignature, Key(7), GammaOf(7));
-    ASSERT_TRUE(cache.Lookup(ns, VerdictKeyClass::kSignature, Key(7), &gamma));
+    cache.Insert(ns, Key(7), GammaOf(7));
+    ASSERT_TRUE(cache.Lookup(ns, Key(7), &gamma));
     cache.DropNamespace(ns);
     if (steady_bytes < 0) steady_bytes = cache.bytes_in_use();
     ASSERT_EQ(cache.bytes_in_use(), steady_bytes) << "cycle " << cycle;
   }
   after = cache.Stats();
   EXPECT_EQ(after.namespaces, 0u);
-  EXPECT_EQ(after.signature.entries + after.projection.entries, 0);
+  EXPECT_EQ(after.entries, 0);
 }
 
 TEST(VerdictCacheTest, FirstInsertWins) {
@@ -131,33 +123,30 @@ TEST(VerdictCacheTest, FirstInsertWins) {
   // key is a no-op, never an overwrite.
   VerdictCache cache;
   const uint32_t ns = cache.RegisterNamespace("memo");
-  EXPECT_TRUE(cache.Insert(ns, VerdictKeyClass::kSignature, "k", 3));
-  EXPECT_FALSE(cache.Insert(ns, VerdictKeyClass::kSignature, "k", 5));
+  EXPECT_TRUE(cache.Insert(ns, "k", 3));
+  EXPECT_FALSE(cache.Insert(ns, "k", 5));
   int64_t gamma = 0;
-  ASSERT_TRUE(cache.Lookup(ns, VerdictKeyClass::kSignature, "k", &gamma));
+  ASSERT_TRUE(cache.Lookup(ns, "k", &gamma));
   EXPECT_EQ(gamma, 3);
 }
 
-TEST(VerdictCacheTest, PerClassStatsTally) {
+TEST(VerdictCacheTest, StatsTally) {
   VerdictCache cache;
   const uint32_t ns = cache.RegisterNamespace("memo");
   int64_t gamma = 0;
-  cache.Lookup(ns, VerdictKeyClass::kSignature, "s", &gamma);  // miss
-  cache.Insert(ns, VerdictKeyClass::kSignature, "s", 2);
-  cache.Lookup(ns, VerdictKeyClass::kSignature, "s", &gamma);  // hit
-  cache.Insert(ns, VerdictKeyClass::kProjection, "p", 4);
+  cache.Lookup(ns, "s", &gamma);  // miss
+  cache.Insert(ns, "s", 2);
+  cache.Lookup(ns, "s", &gamma);  // hit
+  cache.Insert(ns, "p", 4);
 
   const VerdictCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.signature.misses, 1);
-  EXPECT_EQ(stats.signature.hits, 1);
-  EXPECT_EQ(stats.signature.inserts, 1);
-  EXPECT_EQ(stats.signature.entries, 1);
-  EXPECT_EQ(stats.projection.inserts, 1);
-  EXPECT_EQ(stats.projection.entries, 1);
-  // Measured accounting: entries charge real bytes, and the split adds up.
-  EXPECT_GT(stats.signature.bytes, 0);
-  EXPECT_GT(stats.projection.bytes, 0);
-  EXPECT_GE(stats.bytes_in_use, stats.signature.bytes);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.inserts, 2);
+  EXPECT_EQ(stats.entries, 2);
+  // Measured accounting: entries charge real bytes, within the total.
+  EXPECT_GT(stats.entry_bytes, 0);
+  EXPECT_GE(stats.bytes_in_use, stats.entry_bytes);
   EXPECT_GE(stats.peak_bytes, stats.bytes_in_use);
   EXPECT_FALSE(cache.bounded());
 }
@@ -166,17 +155,16 @@ TEST(VerdictCacheTest, UnboundedCacheNeverEvicts) {
   VerdictCache cache;
   const uint32_t ns = cache.RegisterNamespace("memo");
   for (uint64_t i = 0; i < 1000; ++i) {
-    cache.Insert(ns, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
+    cache.Insert(ns, Key(i), GammaOf(i));
   }
   int64_t gamma = 0;
   for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(
-        cache.Lookup(ns, VerdictKeyClass::kSignature, Key(i), &gamma));
+    ASSERT_TRUE(cache.Lookup(ns, Key(i), &gamma));
     EXPECT_EQ(gamma, GammaOf(i));
   }
   const VerdictCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.signature.evictions, 0);
-  EXPECT_EQ(stats.signature.entries, 1000);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.entries, 1000);
 }
 
 TEST(VerdictCacheTest, MeasuredBytesNeverExceedBudget) {
@@ -187,18 +175,18 @@ TEST(VerdictCacheTest, MeasuredBytesNeverExceedBudget) {
   ASSERT_TRUE(cache.bounded());
   const uint32_t ns = cache.RegisterNamespace("memo");
   for (uint64_t i = 0; i < 2000; ++i) {
-    cache.Insert(ns, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
+    cache.Insert(ns, Key(i), GammaOf(i));
     ASSERT_LE(cache.bytes_in_use(), config.byte_budget) << "after insert "
                                                         << i;
   }
   const VerdictCacheStats stats = cache.Stats();
-  EXPECT_GT(stats.signature.evictions, 0);
-  EXPECT_LT(stats.signature.entries, 2000);
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_LT(stats.entries, 2000);
   // Whatever survived is still correct — eviction only forgets.
   int64_t gamma = 0;
   int64_t survivors = 0;
   for (uint64_t i = 0; i < 2000; ++i) {
-    if (cache.Lookup(ns, VerdictKeyClass::kSignature, Key(i), &gamma)) {
+    if (cache.Lookup(ns, Key(i), &gamma)) {
       ++survivors;
       ASSERT_EQ(gamma, GammaOf(i)) << "key " << i;
     }
@@ -214,14 +202,14 @@ TEST(VerdictCacheTest, RepeatedHitsSurviveScanEviction) {
   config.num_shards = 1;
   VerdictCache cache(config);
   const uint32_t ns = cache.RegisterNamespace("memo");
-  cache.Insert(ns, VerdictKeyClass::kSignature, "hot", 42);
+  cache.Insert(ns, "hot", 42);
   int64_t gamma = 0;
-  ASSERT_TRUE(cache.Lookup(ns, VerdictKeyClass::kSignature, "hot", &gamma));
+  ASSERT_TRUE(cache.Lookup(ns, "hot", &gamma));
   for (uint64_t i = 0; i < 500; ++i) {
-    cache.Insert(ns, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
+    cache.Insert(ns, Key(i), GammaOf(i));
   }
-  ASSERT_GT(cache.Stats().signature.evictions, 0);
-  ASSERT_TRUE(cache.Lookup(ns, VerdictKeyClass::kSignature, "hot", &gamma));
+  ASSERT_GT(cache.Stats().evictions, 0);
+  ASSERT_TRUE(cache.Lookup(ns, "hot", &gamma));
   EXPECT_EQ(gamma, 42);
 }
 
@@ -258,6 +246,10 @@ TEST(VerdictCacheEquivalenceTest, EvictionOnlyForgetsNeverCorrupts) {
       std::vector<Bitset64> want = MinimalSafeHiddenSets(
           &baseline, m->inputs(), m->outputs(), universe, gamma, &base_stats,
           opts);
+      // The memo keys every verdict on its effective-visible signature
+      // alone: the walk leaves exactly one live entry per checker call.
+      EXPECT_EQ(baseline.cache()->Stats().entries, base_stats.checker_calls)
+          << "seed " << seed << " threads " << threads;
 
       auto unbounded = std::make_shared<VerdictCache>();
       SafetyMemo shared_memo(*m, Module::kDefaultMaterializeRows, unbounded,
@@ -286,8 +278,6 @@ TEST(VerdictCacheEquivalenceTest, EvictionOnlyForgetsNeverCorrupts) {
       EXPECT_EQ(shared_stats.checker_calls, base_stats.checker_calls)
           << "seed " << seed << " threads " << threads;
       EXPECT_EQ(shared_stats.cache_hits, base_stats.cache_hits);
-      EXPECT_EQ(shared_stats.signature_hits, base_stats.signature_hits);
-      EXPECT_EQ(shared_stats.projection_hits, base_stats.projection_hits);
       // A starved cache can only trade hits for checker re-runs.
       EXPECT_EQ(tiny_stats.subsets_examined, base_stats.subsets_examined);
       EXPECT_GE(tiny_stats.checker_calls, base_stats.checker_calls);
@@ -354,15 +344,12 @@ TEST(VerdictCacheHammerTest, ConcurrentInsertLookupUnderTinyBudget) {
       Rng rng(0xabcdef12u + static_cast<uint64_t>(t));
       for (int op = 0; op < kOps; ++op) {
         const uint64_t i = rng.NextBelow(512);
-        const VerdictKeyClass klass = (i & 1) != 0
-                                          ? VerdictKeyClass::kProjection
-                                          : VerdictKeyClass::kSignature;
         int64_t gamma = 0;
-        if (cache.Lookup(ns, klass, Key(i), &gamma)) {
+        if (cache.Lookup(ns, Key(i), &gamma)) {
           // A hit must carry the key's one true verdict.
           ASSERT_EQ(gamma, GammaOf(i)) << "thread " << t << " op " << op;
         } else {
-          cache.Insert(ns, klass, Key(i), GammaOf(i));
+          cache.Insert(ns, Key(i), GammaOf(i));
         }
       }
     });
@@ -371,8 +358,8 @@ TEST(VerdictCacheHammerTest, ConcurrentInsertLookupUnderTinyBudget) {
 
   EXPECT_LE(cache.bytes_in_use(), config.byte_budget);
   const VerdictCacheStats stats = cache.Stats();
-  EXPECT_GT(stats.signature.hits + stats.projection.hits, 0);
-  EXPECT_GT(stats.signature.evictions + stats.projection.evictions, 0);
+  EXPECT_GT(stats.hits, 0);
+  EXPECT_GT(stats.evictions, 0);
 }
 
 TEST(VerdictCacheHammerTest, ConcurrentBatchesShareBudgetedCache) {

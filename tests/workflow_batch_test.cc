@@ -68,8 +68,8 @@ TEST(WorkflowBatchTest, SharesVerdictsAcrossRequests) {
   WorkflowBatchResult batch = CertifyWorkflowBatch(*g.workflow, requests);
   // Each request touches every private module once; without sharing that
   // would be |requests| × |private| checker calls. Hidden sets differing
-  // only outside a module's attributes (and projection-equal ones) must
-  // answer from the memo.
+  // only outside a module's effective attributes must answer from the
+  // memo.
   const int64_t lookups = batch.stats.checker_calls + batch.stats.cache_hits;
   EXPECT_EQ(lookups,
             static_cast<int64_t>(requests.size() *
@@ -111,8 +111,10 @@ TEST(WorkflowBatchTest, ParallelBatchFieldIdenticalToSequential) {
   // per-request verdict tasks + overlapped ground truth) at 2 and 8
   // threads, on a private executor and on a caller-shared one, must be
   // field-identical to the same graph run inline at one thread — entries
-  // AND stats. The one-thread run itself is pinned to golden aggregates
-  // recorded from the earlier two-phase implementation.
+  // AND stats. The one-thread run itself is pinned to golden aggregates:
+  // verdict counts recorded from the earlier two-phase implementation, and
+  // the counters of the one-level signature memo (one checker call per
+  // distinct signature, every other lookup a cache hit).
   struct Golden {
     uint64_t seed;
     int certified;
@@ -121,7 +123,7 @@ TEST(WorkflowBatchTest, ParallelBatchFieldIdenticalToSequential) {
     int64_t cache_hits;
   };
   const Golden goldens[] = {
-      {13, 20, 28, 18, 494}, {101, 44, 56, 25, 487}, {977, 8, 16, 18, 238}};
+      {13, 20, 28, 20, 492}, {101, 44, 56, 28, 484}, {977, 8, 16, 20, 236}};
   TaskGraphExecutor shared(3);
   for (const Golden& golden : goldens) {
     const uint64_t seed = golden.seed;
